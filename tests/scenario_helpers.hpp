@@ -86,4 +86,21 @@ inline void run_mini(MiniScenario& sc,
   runner::run_until(*sc.hv, [] { return false; }, horizon, sim::Time::ms(50));
 }
 
+/// Single-machine open-loop serving fixture: one 4-worker kv VM under
+/// 20k rps Poisson traffic with a 1 ms SLO, horizon-bounded (nothing is
+/// measured, so the run ends at the horizon by design).
+constexpr const char* kSingleServing = R"(
+machine xeon_e5620
+scheduler credit
+seed 5
+horizon 0.3
+sampling 0.25
+
+vm name=kv mem=2G vcpus=4
+app vm=kv kind=kv threads=4 instr=100k batch=16
+
+openloop rps=20000 start=0.02
+slo ms=1
+)";
+
 }  // namespace vprobe::test

@@ -566,20 +566,6 @@ TEST(Aggregate, MergesDistributionsInsteadOfAveragingPercentiles) {
 
 // -- Scenario-level: repeatability, stream independence, the golden -------------
 
-constexpr const char* kSingleServing = R"(
-machine xeon_e5620
-scheduler credit
-seed 5
-horizon 0.3
-sampling 0.25
-
-vm name=kv mem=2G vcpus=4
-app vm=kv kind=kv threads=4 instr=100k batch=16
-
-openloop rps=20000 start=0.02
-slo ms=1
-)";
-
 TEST(Serving, SingleMachineRunsAreExactlyRepeatable) {
   const runner::ScenarioSpec spec = runner::parse_scenario(kSingleServing);
   ASSERT_TRUE(spec.openloop_enabled);
