@@ -1,6 +1,7 @@
 #include "runner/scenario_file.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -426,6 +427,201 @@ wl::OpenLoopClient::Config open_loop_config(const ScenarioSpec& spec) {
   return ocfg;
 }
 
+/// The externally owned apps of a scenario run (measured spec/npb, kv
+/// servers, and background apps outside the control plane), their staggered
+/// starters, the open-loop client, and the rollup of what they report.
+/// Both run paths build it; declare it after the host or fleet so the
+/// client (cancelling its pending arrival) and the apps die first.
+class ScenarioApps {
+ public:
+  explicit ScenarioApps(const ScenarioSpec& spec)
+      : spec_(spec),
+        any_marked_(std::any_of(spec.apps.begin(), spec.apps.end(),
+                                [](const auto& a) { return a.measure; })) {}
+
+  /// Instantiate `app` on `dom`, hosted by `hv` (fleet host index `host`).
+  /// `vm` keys the domain for the memory-counter rollup.
+  void add(const ScenarioSpec::AppSpec& app, hv::Hypervisor& hv,
+           hv::Domain& dom, int host, int vm) {
+    auto vcpus = domain_vcpus(dom);
+    const auto from = static_cast<std::size_t>(app.from);
+    if (from >= vcpus.size()) {
+      throw std::invalid_argument("app 'from' beyond vm '" + app.vm + "' vcpus");
+    }
+    const std::vector<hv::Vcpu*> subset(
+        vcpus.begin() + static_cast<std::ptrdiff_t>(from), vcpus.end());
+    const bool measure = app.measure || !any_marked_;
+    if (app.kind == "spec") {
+      for (int i = 0; i < app.count; ++i) {
+        const std::size_t slot = from + static_cast<std::size_t>(i);
+        if (slot >= vcpus.size()) {
+          throw std::invalid_argument("too many spec instances for vm '" + app.vm + "'");
+        }
+        spec_apps_.push_back(std::make_unique<wl::SpecApp>(
+            hv, dom, *vcpus[slot], app.profile, spec_.scale,
+            app.vm + ":" + app.profile + "#" + std::to_string(i)));
+        wl::SpecApp* sa = spec_apps_.back().get();
+        add_starter(host, [sa] { sa->start(); });
+        if (measure) {
+          measured_.push_back({[sa] { return sa->finished(); },
+                               [sa] { return sa->runtime().to_seconds(); },
+                               sa->name(), vm});
+        }
+      }
+    } else if (app.kind == "npb") {
+      wl::NpbApp::Config ncfg;
+      ncfg.profile = app.profile;
+      ncfg.threads = app.threads;
+      ncfg.instr_scale = spec_.scale;
+      ncfg.name = app.vm + ":" + app.profile;
+      npb_apps_.push_back(std::make_unique<wl::NpbApp>(hv, dom, ncfg, subset));
+      wl::NpbApp* na = npb_apps_.back().get();
+      add_starter(host, [na] { na->start(); });
+      if (measure) {
+        measured_.push_back({[na] { return na->finished(); },
+                             [na] { return na->runtime().to_seconds(); },
+                             na->name(), vm});
+      }
+    } else if (app.kind == "kv") {
+      wl::RequestServer::Config kcfg;
+      kcfg.profile = app.profile;
+      kcfg.workers = app.threads;
+      kcfg.instr_per_request = app.instr;
+      kcfg.max_batch = app.batch;
+      kcfg.name = app.vm + ":kv";
+      kv_servers_.push_back(
+          std::make_unique<wl::RequestServer>(hv, dom, kcfg, subset));
+      if (spec_.slo_ms > 0) {
+        kv_servers_.back()->set_slo_threshold(spec_.slo_ms / 1e3);
+      }
+      kv_server_hosts_.push_back(host);
+      // No starter: workers park blocked until the first submit wakes them.
+    } else if (app.kind == "hungry") {
+      hogs_.push_back(std::make_unique<wl::HungryLoops>(hv, dom, subset));
+      wl::HungryLoops* h = hogs_.back().get();
+      add_starter(host, [h] { h->start(); });
+    } else {  // ticks
+      ticks_.push_back(std::make_unique<wl::GuestOsTicks>(hv, dom, subset));
+      wl::GuestOsTicks* t = ticks_.back().get();
+      add_starter(host, [t] { t->start(); });
+    }
+  }
+
+  /// Queue `fn` for the next launch slot, on `host`'s engine.
+  void add_starter(int host, std::function<void()> fn) {
+    starters_.push_back({host, std::move(fn)});
+  }
+
+  /// Schedule the starters 10 ms apart in the order they were added, each
+  /// on the engine `engine_of(host)` returns.
+  template <typename EngineOf>
+  void launch(EngineOf engine_of) {
+    int slot = 0;
+    for (auto& starter : starters_) {
+      engine_of(starter.host).schedule(sim::Time::ms(10 * slot++), starter.fn);
+    }
+  }
+
+  /// Start open-loop traffic against the kv servers, its events on `engine`.
+  void start_open_loop(sim::Engine& engine) {
+    if (kv_servers_.empty()) {
+      throw std::invalid_argument("openloop requires at least one kind=kv app");
+    }
+    std::vector<wl::RequestServer*> targets;
+    targets.reserve(kv_servers_.size());
+    for (const auto& s : kv_servers_) targets.push_back(s.get());
+    open_loop_ = std::make_unique<wl::OpenLoopClient>(
+        engine, open_loop_config(spec_), std::move(targets));
+    open_loop_->start();
+  }
+
+  bool nothing_measured() const { return measured_.empty(); }
+
+  /// True once every measured app has finished; never with nothing measured,
+  /// so such a run is bounded by the horizon.
+  bool finished() const {
+    return !measured_.empty() &&
+           std::all_of(measured_.begin(), measured_.end(),
+                       [](const Measured& m) { return m.finished(); });
+  }
+
+  /// Fill the metrics the apps determine: runtimes, the measured domains'
+  /// memory counters and the serving rollup.  Reads metrics.sim_seconds and,
+  /// when set, merges each server's latency into metrics.hosts[its host].
+  /// `domain_of` maps the `vm` keys given to add() to their domains.
+  void report(stats::RunMetrics& metrics, bool done,
+              const std::function<hv::Domain*(int)>& domain_of) const {
+    metrics.scheduler = to_string(spec_.sched);
+    metrics.workload = "scenario";
+    metrics.completed = done;
+    pmu::CounterSet counters;
+    std::vector<int> counted;
+    for (const Measured& m : measured_) {
+      metrics.app_runtime_s[m.name] = m.finished() ? m.runtime_s() : 0.0;
+      if (std::find(counted.begin(), counted.end(), m.vm) == counted.end()) {
+        counted.push_back(m.vm);
+        if (hv::Domain* dom = domain_of(m.vm)) counters += dom->total_counters();
+      }
+    }
+    metrics.finalize();
+    metrics.total_mem_accesses = counters.total_mem_accesses();
+    metrics.remote_mem_accesses = counters.remote_accesses;
+    if (kv_servers_.empty()) return;
+
+    // Serving rollup: merge each server's histogram into the run-level
+    // distribution and its host's slice (fixed file order, so the float
+    // min/max/sum side-stats accumulate deterministically too).
+    metrics.slo_threshold_s = spec_.slo_ms / 1e3;
+    std::uint64_t served = 0;
+    for (std::size_t i = 0; i < kv_servers_.size(); ++i) {
+      const wl::RequestServer& s = *kv_servers_[i];
+      metrics.latency.merge(s.latency_hist());
+      metrics.slo_violations += s.slo_violations();
+      served += s.served();
+      if (!metrics.hosts.empty()) {
+        auto& host = metrics.hosts[static_cast<std::size_t>(kv_server_hosts_[i])];
+        host.latency.merge(s.latency_hist());
+        host.slo_violations += s.slo_violations();
+      }
+    }
+    if (metrics.sim_seconds > 0) {
+      metrics.throughput_rps = static_cast<double>(served) / metrics.sim_seconds;
+    }
+    // Arrival-path accounting: client-side events (one per arrival eager,
+    // one per block boundary lazy) plus server-side materialization events,
+    // and the requests delivered without an engine event of their own.
+    if (open_loop_) metrics.arrival_events = open_loop_->arrival_events();
+    for (const auto& s : kv_servers_) {
+      metrics.arrival_events += s->arrival_events();
+      metrics.arrivals_coalesced += s->arrivals_coalesced();
+    }
+  }
+
+ private:
+  struct Measured {
+    std::function<bool()> finished;
+    std::function<double()> runtime_s;
+    std::string name;
+    int vm;
+  };
+  struct Starter {
+    int host;
+    std::function<void()> fn;
+  };
+
+  const ScenarioSpec& spec_;
+  bool any_marked_;
+  std::vector<std::unique_ptr<wl::SpecApp>> spec_apps_;
+  std::vector<std::unique_ptr<wl::NpbApp>> npb_apps_;
+  std::vector<std::unique_ptr<wl::HungryLoops>> hogs_;
+  std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks_;
+  std::vector<std::unique_ptr<wl::RequestServer>> kv_servers_;
+  std::vector<int> kv_server_hosts_;  ///< host of each kv server
+  std::vector<Measured> measured_;
+  std::vector<Starter> starters_;
+  std::unique_ptr<wl::OpenLoopClient> open_loop_;  ///< dies before the servers
+};
+
 stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
   SchedulerOptions opts;
   opts.sampling_period = sim::Time::seconds(spec.sampling_s);
@@ -495,38 +691,17 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
 
   // Build the externally-owned apps (measured spec/npb, and background apps
   // of mixed VMs) against each VM's admitted domain and host.
-  std::vector<std::unique_ptr<wl::SpecApp>> spec_apps;
-  std::vector<std::unique_ptr<wl::NpbApp>> npb_apps;
-  std::vector<std::unique_ptr<wl::HungryLoops>> hogs;
-  std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks;
-  std::vector<std::unique_ptr<wl::RequestServer>> kv_servers;
-  std::vector<int> kv_server_hosts;  ///< admission host of each kv server
-  struct Measured {
-    std::function<bool()> finished;
-    std::function<double()> runtime_s;
-    std::string name;
-    int vm_id;
-  };
-  std::vector<Measured> measured;
-  const bool any_marked = std::any_of(spec.apps.begin(), spec.apps.end(),
-                                      [](const auto& a) { return a.measure; });
-
+  //
   // Starters are host-local events: each is scheduled on its VM's
   // admission host's engine (host_engine), not the control engine, so a
   // sharded run fires them in the same per-host order as the serial path
   // even when a start slot collides with that host's tick grid
   // (docs/PDES.md).  In serial mode host_engine IS the shared engine.
-  struct Starter {
-    int host = 0;
-    std::function<void()> fn;
-  };
-  std::vector<Starter> starters;
+  ScenarioApps apps(spec);
   std::vector<std::string> started_movables;
   for (const auto& app : spec.apps) {
     const int vm_id = vm_ids.at(app.vm);
     const int host_id = fleet.host_of(vm_id);
-    hv::Hypervisor& hv = fleet.host(host_id);
-    hv::Domain& dom = *fleet.domain_of(vm_id);
     bool movable = false;
     for (const auto& view : fleet.vms()) {
       if (view.id == vm_id) {
@@ -540,86 +715,15 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
       if (std::find(started_movables.begin(), started_movables.end(), app.vm) ==
           started_movables.end()) {
         started_movables.push_back(app.vm);
-        starters.push_back({host_id, [&fleet, vm_id] { fleet.start_vm(vm_id); }});
+        apps.add_starter(host_id, [&fleet, vm_id] { fleet.start_vm(vm_id); });
       }
       continue;
     }
-    auto vcpus = domain_vcpus(dom);
-    const auto from = static_cast<std::size_t>(app.from);
-    if (from >= vcpus.size()) {
-      throw std::invalid_argument("app 'from' beyond vm '" + app.vm + "' vcpus");
-    }
-    const bool measure = app.measure || !any_marked;
-    if (app.kind == "spec") {
-      for (int i = 0; i < app.count; ++i) {
-        const std::size_t slot = from + static_cast<std::size_t>(i);
-        if (slot >= vcpus.size()) {
-          throw std::invalid_argument("too many spec instances for vm '" + app.vm + "'");
-        }
-        spec_apps.push_back(std::make_unique<wl::SpecApp>(
-            hv, dom, *vcpus[slot], app.profile, spec.scale,
-            app.vm + ":" + app.profile + "#" + std::to_string(i)));
-        wl::SpecApp* sa = spec_apps.back().get();
-        starters.push_back({host_id, [sa] { sa->start(); }});
-        if (measure) {
-          measured.push_back({[sa] { return sa->finished(); },
-                              [sa] { return sa->runtime().to_seconds(); },
-                              sa->name(), vm_id});
-        }
-      }
-    } else if (app.kind == "npb") {
-      wl::NpbApp::Config ncfg;
-      ncfg.profile = app.profile;
-      ncfg.threads = app.threads;
-      ncfg.instr_scale = spec.scale;
-      ncfg.name = app.vm + ":" + app.profile;
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      npb_apps.push_back(std::make_unique<wl::NpbApp>(hv, dom, ncfg, subset));
-      wl::NpbApp* na = npb_apps.back().get();
-      starters.push_back({host_id, [na] { na->start(); }});
-      if (measure) {
-        measured.push_back({[na] { return na->finished(); },
-                            [na] { return na->runtime().to_seconds(); },
-                            na->name(), vm_id});
-      }
-    } else if (app.kind == "kv") {
-      wl::RequestServer::Config kcfg;
-      kcfg.profile = app.profile;
-      kcfg.workers = app.threads;
-      kcfg.instr_per_request = app.instr;
-      kcfg.max_batch = app.batch;
-      kcfg.name = app.vm + ":kv";
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      kv_servers.push_back(
-          std::make_unique<wl::RequestServer>(hv, dom, kcfg, subset));
-      if (spec.slo_ms > 0) {
-        kv_servers.back()->set_slo_threshold(spec.slo_ms / 1e3);
-      }
-      kv_server_hosts.push_back(host_id);
-      // No starter: workers park blocked until the first submit wakes them.
-    } else if (app.kind == "hungry") {
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      hogs.push_back(std::make_unique<wl::HungryLoops>(hv, dom, subset));
-      wl::HungryLoops* h = hogs.back().get();
-      starters.push_back({host_id, [h] { h->start(); }});
-    } else {  // ticks
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      ticks.push_back(std::make_unique<wl::GuestOsTicks>(hv, dom, subset));
-      wl::GuestOsTicks* t = ticks.back().get();
-      starters.push_back({host_id, [t] { t->start(); }});
-    }
+    apps.add(app, fleet.host(host_id), *fleet.domain_of(vm_id), host_id, vm_id);
   }
 
   fleet.start();
-  int launch = 0;
-  for (auto& starter : starters) {
-    fleet.host_engine(starter.host)
-        .schedule(sim::Time::ms(10 * launch++), starter.fn);
-  }
+  apps.launch([&fleet](int host) -> sim::Engine& { return fleet.host_engine(host); });
 
   // Scripted cross-host live migrations.
   for (const auto& mig : spec.migrations) {
@@ -643,53 +747,16 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
 
   // Open-loop traffic: a control-plane driver like the ChurnDriver, so its
   // arrival events ride the PDES synchronizer's coupling points and sharded
-  // runs stay bit-identical to serial.  Declared after `fleet` and
-  // `kv_servers` so it dies (cancelling its pending arrival) first.
-  std::unique_ptr<wl::OpenLoopClient> open_loop;
-  if (spec.openloop_enabled) {
-    if (kv_servers.empty()) {
-      throw std::invalid_argument("openloop requires at least one kind=kv app");
-    }
-    std::vector<wl::RequestServer*> targets;
-    targets.reserve(kv_servers.size());
-    for (const auto& s : kv_servers) targets.push_back(s.get());
-    open_loop = std::make_unique<wl::OpenLoopClient>(
-        fleet.engine(), open_loop_config(spec), std::move(targets));
-    open_loop->start();
-  }
+  // runs stay bit-identical to serial.
+  if (spec.openloop_enabled) apps.start_open_loop(fleet.engine());
 
   // Cluster scenarios may be pure background fleets: with nothing measured
   // the run is horizon-bounded by design, not incomplete.
-  const bool have_measured = !measured.empty();
-  const bool done = run_cluster_until(
-      fleet,
-      have_measured
-          ? std::function<bool()>([&] {
-              return std::all_of(measured.begin(), measured.end(),
-                                 [](const Measured& m) { return m.finished(); });
-            })
-          : std::function<bool()>(),
-      sim::Time::seconds(spec.horizon_s));
+  const bool done = run_cluster_until(fleet, [&apps] { return apps.finished(); },
+                                      sim::Time::seconds(spec.horizon_s)) ||
+                    apps.nothing_measured();
 
   stats::RunMetrics metrics;
-  metrics.scheduler = to_string(spec.sched);
-  metrics.workload = "scenario";
-  metrics.completed = done;
-  pmu::CounterSet counters;
-  std::vector<int> counted;
-  for (const Measured& m : measured) {
-    metrics.app_runtime_s[m.name] = m.finished() ? m.runtime_s() : 0.0;
-    if (std::find(counted.begin(), counted.end(), m.vm_id) == counted.end()) {
-      counted.push_back(m.vm_id);
-      if (hv::Domain* dom = fleet.domain_of(m.vm_id)) {
-        counters += dom->total_counters();
-      }
-    }
-  }
-  metrics.finalize();
-  metrics.total_mem_accesses = counters.total_mem_accesses();
-  metrics.remote_mem_accesses = counters.remote_accesses;
-
   double busy_total = 0.0;
   double overhead_total = 0.0;
   for (int id = 0; id < fleet.num_hosts(); ++id) {
@@ -713,36 +780,7 @@ stats::RunMetrics run_cluster_scenario(const ScenarioSpec& spec) {
   }
   metrics.overhead_fraction = busy_total > 0 ? overhead_total / busy_total : 0.0;
   metrics.sim_seconds = fleet.now().to_seconds();
-
-  // Serving rollup: merge each server's histogram into its admission host's
-  // slice and into the fleet-level distribution (fixed file order, so the
-  // float min/max/sum side-stats accumulate deterministically too).
-  if (!kv_servers.empty()) {
-    metrics.slo_threshold_s = spec.slo_ms / 1e3;
-    std::uint64_t served = 0;
-    for (std::size_t i = 0; i < kv_servers.size(); ++i) {
-      const wl::RequestServer& s = *kv_servers[i];
-      metrics.latency.merge(s.latency_hist());
-      metrics.slo_violations += s.slo_violations();
-      served += s.served();
-      auto& host =
-          metrics.hosts[static_cast<std::size_t>(kv_server_hosts[i])];
-      host.latency.merge(s.latency_hist());
-      host.slo_violations += s.slo_violations();
-    }
-    if (metrics.sim_seconds > 0) {
-      metrics.throughput_rps =
-          static_cast<double>(served) / metrics.sim_seconds;
-    }
-    // Arrival-path accounting: client-side events (one per arrival eager,
-    // one per block boundary lazy) plus server-side materialization events,
-    // and the requests delivered without an engine event of their own.
-    if (open_loop) metrics.arrival_events = open_loop->arrival_events();
-    for (const auto& s : kv_servers) {
-      metrics.arrival_events += s->arrival_events();
-      metrics.arrivals_coalesced += s->arrivals_coalesced();
-    }
-  }
+  apps.report(metrics, done, [&fleet](int vm) { return fleet.domain_of(vm); });
 
   metrics.cluster.admitted = fleet.admitted();
   metrics.cluster.rejected = fleet.rejected();
@@ -775,113 +813,31 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
   auto machine = machine_by_name(spec.machine);
   auto hv = make_hypervisor(spec.sched, spec.seed, opts, machine);
 
-  std::map<std::string, hv::Domain*> domains;
+  std::map<std::string, int> vm_index;
+  std::vector<hv::Domain*> domains;
   for (const auto& vm : spec.vms) {
     hv::Domain& dom = hv->create_domain(vm.name, vm.mem_bytes, vm.vcpus,
                                         vm.policy,
                                         static_cast<numa::NodeId>(vm.preferred));
     dom.memory().alternate_allocation(vm.alternate);
-    domains[vm.name] = &dom;
+    vm_index[vm.name] = static_cast<int>(domains.size());
+    domains.push_back(&dom);
   }
 
   // Instantiate workloads; keep them alive for the whole run.
-  std::vector<std::unique_ptr<wl::SpecApp>> spec_apps;
-  std::vector<std::unique_ptr<wl::NpbApp>> npb_apps;
-  std::vector<std::unique_ptr<wl::HungryLoops>> hogs;
-  std::vector<std::unique_ptr<wl::GuestOsTicks>> ticks;
-  std::vector<std::unique_ptr<wl::RequestServer>> kv_servers;
-  struct Measured {
-    std::function<bool()> finished;
-    std::function<double()> runtime_s;
-    std::string name;
-    hv::Domain* domain;
-  };
-  std::vector<Measured> measured;
-  const bool any_marked = std::any_of(spec.apps.begin(), spec.apps.end(),
-                                      [](const auto& a) { return a.measure; });
-
-  std::vector<std::function<void()>> starters;
+  ScenarioApps apps(spec);
   for (const auto& app : spec.apps) {
-    hv::Domain& dom = *domains.at(app.vm);
-    auto vcpus = domain_vcpus(dom);
-    const auto from = static_cast<std::size_t>(app.from);
-    if (from >= vcpus.size()) {
-      throw std::invalid_argument("app 'from' beyond vm '" + app.vm + "' vcpus");
-    }
-    const bool measure = app.measure || !any_marked;
-    if (app.kind == "spec") {
-      for (int i = 0; i < app.count; ++i) {
-        const std::size_t slot = from + static_cast<std::size_t>(i);
-        if (slot >= vcpus.size()) {
-          throw std::invalid_argument("too many spec instances for vm '" + app.vm + "'");
-        }
-        spec_apps.push_back(std::make_unique<wl::SpecApp>(
-            *hv, dom, *vcpus[slot], app.profile, spec.scale,
-            app.vm + ":" + app.profile + "#" + std::to_string(i)));
-        wl::SpecApp* sa = spec_apps.back().get();
-        starters.push_back([sa] { sa->start(); });
-        if (measure) {
-          measured.push_back({[sa] { return sa->finished(); },
-                              [sa] { return sa->runtime().to_seconds(); },
-                              sa->name(), &dom});
-        }
-      }
-    } else if (app.kind == "npb") {
-      wl::NpbApp::Config ncfg;
-      ncfg.profile = app.profile;
-      ncfg.threads = app.threads;
-      ncfg.instr_scale = spec.scale;
-      ncfg.name = app.vm + ":" + app.profile;
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      npb_apps.push_back(std::make_unique<wl::NpbApp>(*hv, dom, ncfg, subset));
-      wl::NpbApp* na = npb_apps.back().get();
-      starters.push_back([na] { na->start(); });
-      if (measure) {
-        measured.push_back({[na] { return na->finished(); },
-                            [na] { return na->runtime().to_seconds(); },
-                            na->name(), &dom});
-      }
-    } else if (app.kind == "kv") {
-      wl::RequestServer::Config kcfg;
-      kcfg.profile = app.profile;
-      kcfg.workers = app.threads;
-      kcfg.instr_per_request = app.instr;
-      kcfg.max_batch = app.batch;
-      kcfg.name = app.vm + ":kv";
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      kv_servers.push_back(
-          std::make_unique<wl::RequestServer>(*hv, dom, kcfg, subset));
-      if (spec.slo_ms > 0) {
-        kv_servers.back()->set_slo_threshold(spec.slo_ms / 1e3);
-      }
-      // No starter: workers park blocked until the first submit wakes them.
-    } else if (app.kind == "hungry") {
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      hogs.push_back(std::make_unique<wl::HungryLoops>(*hv, dom, subset));
-      wl::HungryLoops* h = hogs.back().get();
-      starters.push_back([h] { h->start(); });
-    } else {  // ticks
-      std::vector<hv::Vcpu*> subset(vcpus.begin() + static_cast<std::ptrdiff_t>(from),
-                                    vcpus.end());
-      ticks.push_back(std::make_unique<wl::GuestOsTicks>(*hv, dom, subset));
-      wl::GuestOsTicks* t = ticks.back().get();
-      starters.push_back([t] { t->start(); });
-    }
+    const int vm = vm_index.at(app.vm);
+    apps.add(app, *hv, *domains[static_cast<std::size_t>(vm)], 0, vm);
   }
-  if (measured.empty() && !spec.openloop_enabled) {
+  if (apps.nothing_measured() && !spec.openloop_enabled) {
     // Serving-only scenarios are horizon-bounded by design, like pure
     // background cluster fleets; anything else must measure something.
     throw std::invalid_argument("scenario has nothing to measure");
   }
 
   hv->start();
-  int launch = 0;
-  for (auto& start : starters) {
-    hv->engine().schedule(sim::Time::ms(10 * launch++), start);
-  }
+  apps.launch([&hv](int) -> sim::Engine& { return hv->engine(); });
 
   // Dynamic background churn, if requested.  Declared after `hv` so its
   // pending events are cancelled before the hypervisor dies.
@@ -893,76 +849,22 @@ stats::RunMetrics run_scenario(const ScenarioSpec& spec) {
     churn->start();
   }
 
-  // Open-loop traffic against the kv servers; declared after `hv` and
-  // `kv_servers` so it dies (cancelling its pending arrival) first.
-  std::unique_ptr<wl::OpenLoopClient> open_loop;
-  if (spec.openloop_enabled) {
-    if (kv_servers.empty()) {
-      throw std::invalid_argument("openloop requires at least one kind=kv app");
-    }
-    std::vector<wl::RequestServer*> targets;
-    targets.reserve(kv_servers.size());
-    for (const auto& s : kv_servers) targets.push_back(s.get());
-    open_loop = std::make_unique<wl::OpenLoopClient>(
-        hv->engine(), open_loop_config(spec), std::move(targets));
-    open_loop->start();
-  }
+  if (spec.openloop_enabled) apps.start_open_loop(hv->engine());
 
-  bool done;
-  if (!measured.empty()) {
-    done = run_until(
-        *hv,
-        [&] {
-          return std::all_of(measured.begin(), measured.end(),
-                             [](const Measured& m) { return m.finished(); });
-        },
-        sim::Time::seconds(spec.horizon_s));
-  } else {
-    // Serving-only run: horizon-bounded by design, not incomplete.
-    run_until(*hv, [] { return false; }, sim::Time::seconds(spec.horizon_s));
-    done = true;
-  }
+  // A serving-only run is horizon-bounded by design, not incomplete.
+  const bool done = run_until(*hv, [&apps] { return apps.finished(); },
+                              sim::Time::seconds(spec.horizon_s)) ||
+                    apps.nothing_measured();
 
   stats::RunMetrics metrics;
-  metrics.scheduler = to_string(spec.sched);
-  metrics.workload = "scenario";
-  metrics.completed = done;
-  pmu::CounterSet counters;
-  std::vector<hv::Domain*> counted;
-  for (const Measured& m : measured) {
-    metrics.app_runtime_s[m.name] = m.finished() ? m.runtime_s() : 0.0;
-    if (std::find(counted.begin(), counted.end(), m.domain) == counted.end()) {
-      counted.push_back(m.domain);
-      counters += m.domain->total_counters();
-    }
-  }
-  metrics.finalize();
-  metrics.total_mem_accesses = counters.total_mem_accesses();
-  metrics.remote_mem_accesses = counters.remote_accesses;
   metrics.migrations = hv->total_migrations();
   metrics.cross_node_migrations = hv->total_cross_node_migrations();
   const double busy = hv->total_busy_time().to_seconds();
   metrics.overhead_fraction =
       busy > 0 ? hv->overhead().paper_overhead().to_seconds() / busy : 0.0;
   metrics.sim_seconds = hv->now().to_seconds();
-  if (!kv_servers.empty()) {
-    metrics.slo_threshold_s = spec.slo_ms / 1e3;
-    std::uint64_t served = 0;
-    for (const auto& s : kv_servers) {
-      metrics.latency.merge(s->latency_hist());
-      metrics.slo_violations += s->slo_violations();
-      served += s->served();
-    }
-    if (metrics.sim_seconds > 0) {
-      metrics.throughput_rps =
-          static_cast<double>(served) / metrics.sim_seconds;
-    }
-    if (open_loop) metrics.arrival_events = open_loop->arrival_events();
-    for (const auto& s : kv_servers) {
-      metrics.arrival_events += s->arrival_events();
-      metrics.arrivals_coalesced += s->arrivals_coalesced();
-    }
-  }
+  apps.report(metrics, done,
+              [&domains](int vm) { return domains[static_cast<std::size_t>(vm)]; });
   return metrics;
 }
 
