@@ -44,6 +44,11 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset tsan
 
+echo "== asan preset: full test suite under AddressSanitizer + UBSan (LeakSanitizer on) =="
+cmake --preset asan
+cmake --build --preset asan -j "$JOBS"
+ctest --preset asan -j "$JOBS"  # includes engine_bench_smoke under LeakSanitizer
+
 echo "== release preset: checker hooks compiled out =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"

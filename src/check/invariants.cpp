@@ -41,6 +41,10 @@ void InvariantChecker::detach() {
   hv_ = nullptr;
 }
 
+void InvariantChecker::on_hypervisor_destroyed(hv::Hypervisor& hv) {
+  if (&hv == hv_) detach();
+}
+
 void InvariantChecker::clear() {
   violations_.clear();
   total_violations_ = 0;

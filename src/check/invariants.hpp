@@ -73,9 +73,9 @@ class InvariantChecker final : public sim::Engine::Observer,
   explicit InvariantChecker(Config cfg) : cfg_(cfg) {}
   ~InvariantChecker() override;
 
-  /// Register as `hv`'s engine observer and hypervisor observer.  The
-  /// checker must outlive the hypervisor or detach() first; declare it
-  /// before the hypervisor (or call detach()) in owning scopes.
+  /// Register as `hv`'s engine observer and hypervisor observer.  Safe in
+  /// either destruction order: the checker detaches when `hv` announces its
+  /// destruction (on_hypervisor_destroyed), and on its own destruction.
   void attach(hv::Hypervisor& hv);
   /// Per-machine attachment for fleets sharing one engine: the engine has a
   /// single observer slot, so exactly one host's checker passes
@@ -115,6 +115,7 @@ class InvariantChecker final : public sim::Engine::Observer,
   void after_domain_destroy(hv::Hypervisor& hv) override;
   void on_trace_event(hv::Hypervisor& hv, trace::EventKind kind,
                       int vcpu_id) override;
+  void on_hypervisor_destroyed(hv::Hypervisor& hv) override;
 
  private:
   void check_runqueues();

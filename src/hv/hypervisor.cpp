@@ -51,6 +51,7 @@ Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler,
 }
 
 Hypervisor::~Hypervisor() {
+  if (observer_ != nullptr) observer_->on_hypervisor_destroyed(*this);
   if (owned_engine_ != nullptr) {
     // Events may hold references into pcpus/domains; drop them first.
     engine_.clear();

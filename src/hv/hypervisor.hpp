@@ -181,8 +181,9 @@ class Hypervisor {
   trace::Tracer* tracer() { return tracer_; }
 
   /// Attach an invariant-checking observer (nullptr detaches).  Non-owning;
-  /// the observer must outlive the hypervisor or be detached first.  The
-  /// hook call sites only exist when the build defines VPROBE_CHECKS.
+  /// the destructor announces itself through on_hypervisor_destroyed so the
+  /// observer can detach.  The other hook call sites only exist when the
+  /// build defines VPROBE_CHECKS.
   void set_observer(HvObserver* observer) { observer_ = observer; }
   HvObserver* observer() { return observer_; }
 

@@ -49,6 +49,11 @@ class HvObserver {
                               int vcpu_id) {
     (void)hv; (void)kind; (void)vcpu_id;
   }
+
+  /// `hv` is about to be destroyed, still fully intact (engine included).
+  /// Fired in every build, so an observer may unhook itself here and then
+  /// be destroyed before or after the hypervisor.
+  virtual void on_hypervisor_destroyed(Hypervisor& hv) { (void)hv; }
 };
 
 }  // namespace vprobe::hv

@@ -68,6 +68,19 @@ TEST(CheckDetach, DetachStopsObservation) {
   EXPECT_EQ(checker.checks_run(), 0u);
 }
 
+// A checker that outlives its hypervisor detaches when the hypervisor is
+// destroyed, so it never touches the dead host afterwards.
+TEST(CheckDetach, HypervisorDestroyedFirstDetachesTheChecker) {
+  check::InvariantChecker checker;
+  MiniScenario sc = test::make_mini_scenario(runner::SchedKind::kCredit, 3);
+  checker.attach(*sc.hv);
+  test::run_mini(sc, sim::Time::ms(50));
+  const std::uint64_t checks = checker.checks_run();
+  sc.hv.reset();
+  checker.check_now();
+  EXPECT_EQ(checker.checks_run(), checks) << "check_now swept a destroyed hypervisor";
+}
+
 // ---------------------------------------------------- injected bugs ----
 
 #if defined(VPROBE_CHECKS)

@@ -713,6 +713,7 @@ int main(int argc, char** argv) {
     }
   }
   int rest_argc = static_cast<int>(rest.size());
+  rest.push_back(nullptr);  // argv[argc] must be null: gtest reads up to it
   ::testing::InitGoogleTest(&rest_argc, rest.data());
   return RUN_ALL_TESTS();
 }
