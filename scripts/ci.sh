@@ -39,6 +39,9 @@ echo "== PDES scaling smoke (sharded/batched/unbatched digest identity + coalesc
 echo "== serving smoke (calm prefix + spike collapse + PDES identity + 1M-rps lazy-arrival gate) =="
 ./build/bench/serving_bench --smoke
 
+echo "== perfbench self-test (both scheduled workloads against perfbench/pins.txt) =="
+python3 perfbench/run.py --self-test
+
 echo "== tsan preset: parallel-executor tests under ThreadSanitizer =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
