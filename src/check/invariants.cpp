@@ -243,7 +243,9 @@ void InvariantChecker::check_runqueues() {
   // keyed by pointer because global ids are not dense across domains.
   std::unordered_map<const hv::Vcpu*, int> queued;
   std::unordered_map<const hv::Vcpu*, const hv::Pcpu*> running_on;
+  std::size_t total_queued = 0;
   for (hv::Pcpu& p : hv_->pcpus()) {
+    total_queued += p.queue.size();
     for (const hv::Vcpu* v : p.queue.items()) {
       ++queued[v];
       if (v->state != hv::VcpuState::kRunnable) {
@@ -291,6 +293,11 @@ void InvariantChecker::check_runqueues() {
         }
       }
     }
+  }
+  if (total_queued != hv_->queued_vcpus()) {
+    report("runqueue: queued_vcpus() is " +
+           std::to_string(hv_->queued_vcpus()) + " but the run queues hold " +
+           std::to_string(total_queued));
   }
   for (const hv::Vcpu* v : hv_->all_vcpus()) {
     const int n = [&] {

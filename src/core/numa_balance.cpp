@@ -1,8 +1,5 @@
 #include "core/numa_balance.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "core/analyzer.hpp"
 
 namespace vprobe::core {
@@ -15,24 +12,31 @@ double NumaAwareBalancer::live_pressure(const hv::Vcpu& vcpu) {
 
 hv::Vcpu* NumaAwareBalancer::steal(hv::Hypervisor& hv, hv::Pcpu& thief,
                                    int weaker_than, bool local_only) {
+  if (hv.queued_vcpus() == 0) return nullptr;  // nothing to steal anywhere
   const auto& topo = hv.topology();
 
   for (numa::NodeId node : topo.nodes_by_distance(thief.node)) {
     if (local_only && node != thief.node) break;
     // loadList: the node's PCPUs sorted by workload, heaviest first
-    // (stable on id so the scan order is deterministic).
-    std::vector<hv::Pcpu*> load_list;
+    // (stable on id so the scan order is deterministic).  Empty queues are
+    // left out: the scan would skip them anyway, and the stable order of
+    // the rest is unchanged.  A node is a handful of PCPUs, so a stable
+    // insertion sort into the reused buffer avoids std::stable_sort's
+    // temporary allocation.
+    load_list_.clear();
     for (numa::PcpuId pid : topo.pcpus_of(node)) {
       if (pid == thief.id) continue;
-      load_list.push_back(&hv.pcpu(pid));
+      hv::Pcpu& victim = hv.pcpu(pid);
+      if (victim.queue.empty()) continue;
+      auto pos = load_list_.end();
+      while (pos != load_list_.begin() &&
+             (*(pos - 1))->workload() < victim.workload()) {
+        --pos;
+      }
+      load_list_.insert(pos, &victim);
     }
-    std::stable_sort(load_list.begin(), load_list.end(),
-                     [](const hv::Pcpu* a, const hv::Pcpu* b) {
-                       return a->workload() > b->workload();
-                     });
 
-    for (hv::Pcpu* victim : load_list) {
-      if (victim->queue.empty()) continue;
+    for (hv::Pcpu* victim : load_list_) {
       // Steal the eligible runnable VCPU with the smallest LLC pressure.
       hv::Vcpu* best = nullptr;
       double best_pressure = 0.0;

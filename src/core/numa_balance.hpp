@@ -10,6 +10,8 @@
 //     contention balance the partitioner established.
 #pragma once
 
+#include <vector>
+
 #include "hv/hypervisor.hpp"
 
 namespace vprobe::core {
@@ -45,6 +47,8 @@ class NumaAwareBalancer {
 
  private:
   Stats stats_;
+  /// steal()'s per-node loadList, kept so steady state never allocates.
+  std::vector<hv::Pcpu*> load_list_;
 };
 
 }  // namespace vprobe::core

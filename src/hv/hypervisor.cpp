@@ -43,9 +43,11 @@ Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler,
   machine_state_.set_decay_caches(config_.rate_cache);
   cost_model_.resize_cache(static_cast<std::size_t>(topology_.num_pcpus()));
   pcpus_.resize(static_cast<std::size_t>(topology_.num_pcpus()));
+  pokes_.resize(pcpus_.size());
   for (int p = 0; p < topology_.num_pcpus(); ++p) {
     pcpus_[static_cast<std::size_t>(p)].id = p;
     pcpus_[static_cast<std::size_t>(p)].node = topology_.node_of(p);
+    pcpus_[static_cast<std::size_t>(p)].queue.count_into(&queued_vcpus_);
   }
   scheduler_->attach(*this);
 }
@@ -58,8 +60,8 @@ Hypervisor::~Hypervisor() {
     return;
   }
   // Shared engine: other hosts' events must survive, so cancel only the
-  // handles this host owns.  Zero-delay poke/preempt lambdas capture raw
-  // pointers and have no handle here — the fleet owner is required to
+  // handles this host owns.  Zero-delay poke-batch/preempt lambdas capture
+  // raw pointers and have no handle here — the fleet owner is required to
   // Engine::clear() before destroying any host (Cluster's destructor does).
   for (sim::EventHandle& timer : tick_timers_) timer.cancel();
   accounting_timer_.cancel();
@@ -354,10 +356,33 @@ void Hypervisor::tickle_after_wake(Vcpu& vcpu) {
 void Hypervisor::poke(Pcpu& p) {
   if (p.poke_pending) return;
   p.poke_pending = true;
-  engine_.schedule(sim::Time::zero(), [this, &p] {
+  // Zero-delay events fire in arm order.  While the newest batch still
+  // holds pokes and nothing has been armed since its event (arm_count()
+  // unchanged, same instant), no event sits between that batch and this
+  // poke: appending fires this PCPU exactly where its own event would
+  // have, even when the batch is already firing.
+  if (poke_count_ == 0 || engine_.arm_count() != poke_batch_arms_ ||
+      engine_.now() != poke_batch_time_) {
+    const std::uint64_t batch = ++poke_batch_;
+    poke_batch_time_ = engine_.now();
+    engine_.schedule(sim::Time::zero(), [this, batch] { fire_pokes(batch); });
+    poke_batch_arms_ = engine_.arm_count();
+  }
+  std::size_t tail = poke_head_ + poke_count_++;
+  if (tail >= pokes_.size()) tail -= pokes_.size();
+  pokes_[tail] = PendingPoke{&p, poke_batch_};
+}
+
+void Hypervisor::fire_pokes(std::uint64_t batch) {
+  // An older batch's entries are left only when Engine::clear() dropped its
+  // event; they are served here rather than stranded.
+  while (poke_count_ > 0 && pokes_[poke_head_].batch <= batch) {
+    Pcpu& p = *pokes_[poke_head_].pcpu;
+    if (++poke_head_ == pokes_.size()) poke_head_ = 0;
+    --poke_count_;
     p.poke_pending = false;
     if (p.idle()) schedule_pcpu(p);
-  });
+  }
 }
 
 void Hypervisor::request_preempt(Pcpu& p) {
@@ -434,10 +459,7 @@ void Hypervisor::migrate_to_node(Vcpu& vcpu, numa::NodeId node) {
 void Hypervisor::schedule_pcpu(Pcpu& p) {
   if (p.busy()) return;
   Decision d = scheduler_->do_schedule(p);
-  if (d.vcpu == nullptr) {
-    p.idle_since = engine_.now();
-    return;
-  }
+  if (d.vcpu == nullptr) return;
   assert(d.vcpu->state == VcpuState::kRunnable);
   assert(!d.vcpu->in_runqueue);
   start_running(p, *d.vcpu, d.slice > sim::Time::zero() ? d.slice : config_.slice);

@@ -129,7 +129,9 @@ class Hypervisor {
   void migrate_to_node(Vcpu& vcpu, numa::NodeId node);
 
   /// Ask `pcpu` to re-run scheduling as soon as the current event completes
-  /// (used after enqueuing work an idle PCPU could take).
+  /// (used after enqueuing work an idle PCPU could take).  Pokes issued
+  /// back to back share one zero-delay engine event that serves them in
+  /// issue order (docs/ENGINE.md, "Idle pokes and steals").
   void poke(Pcpu& pcpu);
 
   /// Force `pcpu` to deschedule its current VCPU (asynchronously, at the
@@ -157,6 +159,8 @@ class Hypervisor {
   Scheduler& scheduler() { return *scheduler_; }
 
   std::vector<Pcpu>& pcpus() { return pcpus_; }
+  /// VCPUs waiting in any run queue of this machine.
+  std::size_t queued_vcpus() const { return queued_vcpus_; }
   Pcpu& pcpu(numa::PcpuId id) { return pcpus_.at(static_cast<std::size_t>(id)); }
 
   std::span<const std::unique_ptr<Domain>> domains() const { return domains_; }
@@ -228,6 +232,8 @@ class Hypervisor {
   void pause_vcpu(Vcpu& vcpu);
   void resume_vcpu(Vcpu& vcpu);
   void tickle_after_wake(Vcpu& vcpu);
+  /// Serve the pokes of batch `batch`, front of the FIFO first.
+  void fire_pokes(std::uint64_t batch);
   void on_tick(Pcpu& pcpu);
   void on_accounting();
 
@@ -245,6 +251,7 @@ class Hypervisor {
   perf::CostModel cost_model_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<Pcpu> pcpus_;
+  std::size_t queued_vcpus_ = 0;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<Vcpu*> all_vcpus_;
   OverheadLedger ledger_;
@@ -252,6 +259,22 @@ class Hypervisor {
   trace::Tracer* tracer_ = nullptr;
   HvObserver* observer_ = nullptr;
   std::vector<sim::EventHandle> tick_timers_;  ///< one periodic per PCPU
+  /// Pending pokes in firing order: a ring with one slot per PCPU, since
+  /// poke_pending keeps a PCPU from being queued twice.  Each entry carries
+  /// the number of the batch (the engine event) that serves it.
+  struct PendingPoke {
+    Pcpu* pcpu = nullptr;
+    std::uint64_t batch = 0;
+  };
+  std::vector<PendingPoke> pokes_;
+  std::size_t poke_head_ = 0;
+  std::size_t poke_count_ = 0;
+  /// The newest batch, and the engine's clock and arm_count() when its
+  /// event was armed.  It takes more pokes while it still holds some and
+  /// neither the clock nor arm_count() has moved.
+  std::uint64_t poke_batch_ = 0;
+  sim::Time poke_batch_time_;
+  std::uint64_t poke_batch_arms_ = 0;
   sim::EventHandle accounting_timer_;
   int next_domain_id_ = 1;
   /// Global VCPU ids are never reused: retirement shrinks all_vcpus_, so

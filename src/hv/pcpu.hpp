@@ -51,7 +51,6 @@ struct Pcpu {
 
   // -- Statistics -------------------------------------------------------------
   sim::Time busy_time;
-  sim::Time idle_since;
   std::uint64_t context_switches = 0;
 
   bool busy() const { return current != nullptr; }

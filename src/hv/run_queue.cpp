@@ -14,6 +14,7 @@ void RunQueue::insert(Vcpu& vcpu) {
   });
   items_.insert(pos, &vcpu);
   vcpu.in_runqueue = true;
+  if (total_ != nullptr) ++*total_;
 }
 
 Vcpu* RunQueue::pop_front() {
@@ -21,6 +22,7 @@ Vcpu* RunQueue::pop_front() {
   Vcpu* v = items_.front();
   items_.erase(items_.begin());
   v->in_runqueue = false;
+  if (total_ != nullptr) --*total_;
   return v;
 }
 
@@ -29,6 +31,7 @@ bool RunQueue::remove(Vcpu& vcpu) {
   if (it == items_.end()) return false;
   items_.erase(it);
   vcpu.in_runqueue = false;
+  if (total_ != nullptr) --*total_;
   return true;
 }
 

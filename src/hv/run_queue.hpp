@@ -30,8 +30,13 @@ class RunQueue {
   /// Queue contents in order (for scheduler scans).
   const std::vector<Vcpu*>& items() const { return items_; }
 
+  /// Also keep `*total` (a machine-wide count of queued VCPUs) in step with
+  /// this queue.  Bind while the queue is empty.
+  void count_into(std::size_t* total) { total_ = total; }
+
  private:
   std::vector<Vcpu*> items_;
+  std::size_t* total_ = nullptr;
 };
 
 }  // namespace vprobe::hv

@@ -253,6 +253,41 @@ TEST_F(BalancerTest, ReturnsNullWhenNothingRunnable) {
   EXPECT_EQ(balancer_.steal(*hv_, hv_->pcpu(0)), nullptr);
 }
 
+// Repeated steals walk the victims in loadList order: heaviest queue first,
+// ties broken by PCPU id, empty queues never visited, and from each victim
+// the VCPU with the smallest live_pressure.
+TEST_F(BalancerTest, LocalVictimOrderIsHeaviestFirstStableById) {
+  hv::Vcpu& e = queued(0, 1, 0.5);  // pcpu 1: one waiting
+  hv::Vcpu& a = queued(1, 2, 8.0);  // pcpu 2: two waiting
+  hv::Vcpu& b = queued(2, 2, 6.0);
+  hv::Vcpu& c = queued(3, 3, 1.0);  // pcpu 3: two waiting
+  hv::Vcpu& d = queued(4, 3, 5.0);
+  queued(5, 4, 0.1);                // node 1: out of local scope
+  const std::vector<hv::Vcpu*> want = {&b, &c, &e, &a, &d, nullptr};
+  for (hv::Vcpu* expected : want) {
+    EXPECT_EQ(balancer_.steal(*hv_, hv_->pcpu(0),
+                              static_cast<int>(hv::CreditPrio::kOver) + 1,
+                              /*local_only=*/true),
+              expected);
+  }
+  EXPECT_EQ(balancer_.stats().local_steals, 5u);
+  EXPECT_EQ(balancer_.stats().remote_steals, 0u);
+}
+
+TEST_F(BalancerTest, CrossNodeVictimOrderSkipsEmptyQueues) {
+  // Node 0 (the thief's) is empty; pcpu 4 on node 1 is empty too.
+  hv::Vcpu& f = queued(0, 5, 3.0);  // pcpu 5: one waiting
+  hv::Vcpu& g = queued(1, 6, 9.0);  // pcpu 6: two waiting
+  hv::Vcpu& h = queued(2, 6, 2.0);
+  hv::Vcpu& i = queued(3, 7, 1.0);  // pcpu 7: one waiting
+  const std::vector<hv::Vcpu*> want = {&h, &f, &g, &i, nullptr};
+  for (hv::Vcpu* expected : want) {
+    EXPECT_EQ(balancer_.steal(*hv_, hv_->pcpu(0)), expected);
+  }
+  EXPECT_EQ(balancer_.stats().local_steals, 0u);
+  EXPECT_EQ(balancer_.stats().remote_steals, 4u);
+}
+
 // ------------------------------------------------------ Scheduler names ----
 
 TEST(Schedulers, NamesAndAblationWiring) {

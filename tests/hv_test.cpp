@@ -73,6 +73,27 @@ TEST_F(RunQueueTest, RemoveSpecific) {
   EXPECT_EQ(q_.front(), &b);
 }
 
+TEST_F(RunQueueTest, CountIntoTracksEveryInsertAndRemoval) {
+  std::size_t total = 0;
+  RunQueue other;
+  q_.count_into(&total);
+  other.count_into(&total);
+  Vcpu& a = make(CreditPrio::kUnder);
+  Vcpu& b = make(CreditPrio::kUnder);
+  Vcpu& c = make(CreditPrio::kUnder);
+  q_.insert(a);
+  q_.insert(b);
+  other.insert(c);
+  EXPECT_EQ(total, 3u);
+  q_.pop_front();
+  EXPECT_FALSE(q_.remove(a)) << "a missed removal must not count";
+  EXPECT_TRUE(other.remove(c));
+  EXPECT_EQ(total, 1u);
+  q_.pop_front();
+  EXPECT_EQ(q_.pop_front(), nullptr);
+  EXPECT_EQ(total, 0u);
+}
+
 // ---------------------------------------------------------- Hypervisor ----
 
 TEST(Hypervisor, RejectsNullScheduler) {
