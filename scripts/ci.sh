@@ -11,10 +11,11 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
 
-echo "== labelled suites (golden, differential, engine, churn, costmodel, cluster, pdes, serving) =="
+echo "== labelled suites (golden, differential, engine, sched, churn, costmodel, cluster, pdes, serving) =="
 ctest --test-dir build -L golden --output-on-failure
 ctest --test-dir build -L differential --output-on-failure
 ctest --test-dir build -L engine --output-on-failure
+ctest --test-dir build -L sched --output-on-failure
 ctest --test-dir build -L churn --output-on-failure
 ctest --test-dir build -L costmodel --output-on-failure
 ctest --test-dir build -L cluster --output-on-failure

@@ -266,6 +266,11 @@ void InvariantChecker::check_runqueues() {
                std::to_string(p.id) + " outside its affinity mask");
       }
     }
+    if (hv_->in_idle_set(p.id) != p.idle()) {
+      report("runqueue: pcpu " + std::to_string(p.id) +
+             (p.idle() ? " is idle but missing from" : " is busy but in") +
+             " the idle set");
+    }
     if (p.current != nullptr) {
       const hv::Vcpu& v = *p.current;
       if (!running_on.emplace(&v, &p).second) {

@@ -12,7 +12,7 @@ double NumaAwareBalancer::live_pressure(const hv::Vcpu& vcpu) {
 
 hv::Vcpu* NumaAwareBalancer::steal(hv::Hypervisor& hv, hv::Pcpu& thief,
                                    int weaker_than, bool local_only) {
-  if (hv.queued_vcpus() == 0) return nullptr;  // nothing to steal anywhere
+  if (hv.queued_outside(thief) == 0) return nullptr;  // nothing to steal
   const auto& topo = hv.topology();
 
   for (numa::NodeId node : topo.nodes_by_distance(thief.node)) {

@@ -45,8 +45,13 @@ Vcpu* CreditScheduler::steal(Pcpu& thief, int weaker_than) {
   // any case blind to NUMA distance.  A fixed id-order scan would be
   // accidentally local-first on machines with low node counts.
   const int start = static_cast<int>(hv_->rng().uniform_int(0, n - 1));
-  for (int offset = 0; offset < n; ++offset) {
-    Pcpu& victim = pcpus[static_cast<std::size_t>((start + offset) % n)];
+  // Draw first, then exit: the scan below skips the thief's own queue, so
+  // with nothing queued elsewhere it would come back empty anyway, and every
+  // call still takes exactly one draw from the host RNG.
+  if (hv_->queued_outside(thief) == 0) return nullptr;
+  for (int offset = 0, idx = start; offset < n; ++offset) {
+    Pcpu& victim = pcpus[static_cast<std::size_t>(idx)];
+    if (++idx == n) idx = 0;
     if (victim.id == thief.id) continue;
     for (Vcpu* v : victim.queue.items()) {
       if (!v->allowed_on(thief.id)) continue;  // hard affinity (vcpu-pin)

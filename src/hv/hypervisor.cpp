@@ -1,6 +1,7 @@
 #include "hv/hypervisor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -44,10 +45,19 @@ Hypervisor::Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler,
   cost_model_.resize_cache(static_cast<std::size_t>(topology_.num_pcpus()));
   pcpus_.resize(static_cast<std::size_t>(topology_.num_pcpus()));
   pokes_.resize(pcpus_.size());
+  const std::size_t words = (pcpus_.size() + 63) / 64;
+  idle_.assign(words, 0);
+  node_pcpus_.assign(static_cast<std::size_t>(topology_.num_nodes()),
+                     std::vector<std::uint64_t>(words, 0));
   for (int p = 0; p < topology_.num_pcpus(); ++p) {
-    pcpus_[static_cast<std::size_t>(p)].id = p;
-    pcpus_[static_cast<std::size_t>(p)].node = topology_.node_of(p);
-    pcpus_[static_cast<std::size_t>(p)].queue.count_into(&queued_vcpus_);
+    Pcpu& pcpu = pcpus_[static_cast<std::size_t>(p)];
+    pcpu.id = p;
+    pcpu.node = topology_.node_of(p);
+    pcpu.queue.count_into(&queued_vcpus_);
+    const auto word = static_cast<std::size_t>(p / 64);
+    const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+    idle_[word] |= bit;  // every PCPU starts idle
+    node_pcpus_[static_cast<std::size_t>(pcpu.node)][word] |= bit;
   }
   scheduler_->attach(*this);
 }
@@ -127,7 +137,7 @@ void Hypervisor::retire_vcpu(Vcpu& v) {
       // mid-flight: its workload does not advance and any outcome it would
       // have produced is discarded.
       settle_segment(*host);
-      host->current = nullptr;
+      clear_current(*host);
       emit(trace::EventKind::kSwitchOut, v.id(), host->id, 2);
       // Refill the PCPU asynchronously: during destroy_domain() the rest of
       // the domain is still being torn down, and a synchronous reschedule
@@ -193,7 +203,7 @@ void Hypervisor::pause_vcpu(Vcpu& v) {
       // the settled segment, and the outcome is folded into the paused
       // state so resume replays it faithfully.
       Outcome out = v.work()->advance(instrs, engine_.now());
-      host->current = nullptr;
+      clear_current(*host);
       emit(trace::EventKind::kSwitchOut, v.id(), host->id, 2);
       scheduler_->vcpu_sleep(v);
       switch (out.kind) {
@@ -344,12 +354,19 @@ void Hypervisor::tickle_after_wake(Vcpu& vcpu) {
   // Idle peers may steal the new arrival (Xen tickles the idler mask).
   // Pokes are queued local-node first: the tickle IPI to a same-socket
   // idler lands and reschedules before a cross-socket one, so local idlers
-  // win the race for the new arrival on real hardware too.
-  for (auto& p : pcpus_) {
-    if (p.idle() && p.id != target.id && p.node == target.node) poke(p);
-  }
-  for (auto& p : pcpus_) {
-    if (p.idle() && p.id != target.id && p.node != target.node) poke(p);
+  // win the race for the new arrival on real hardware too.  Each pass walks
+  // the idle set in ascending id; poke() changes no PCPU's idleness, so
+  // reading a word once is the same as testing p.idle() per PCPU.  An idle
+  // target was poked above, so the poke_pending guard makes it a no-op here.
+  const std::vector<std::uint64_t>& local =
+      node_pcpus_[static_cast<std::size_t>(target.node)];
+  for (const bool same_node : {true, false}) {
+    for (std::size_t w = 0; w < idle_.size(); ++w) {
+      std::uint64_t bits = idle_[w] & (same_node ? local[w] : ~local[w]);
+      for (; bits != 0; bits &= bits - 1) {
+        poke(pcpus_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]);
+      }
+    }
   }
 }
 
@@ -456,6 +473,16 @@ void Hypervisor::migrate_to_node(Vcpu& vcpu, numa::NodeId node) {
   }
 }
 
+void Hypervisor::set_current(Pcpu& p, Vcpu& v) {
+  p.current = &v;
+  idle_[static_cast<std::size_t>(p.id / 64)] &= ~(std::uint64_t{1} << (p.id % 64));
+}
+
+void Hypervisor::clear_current(Pcpu& p) {
+  p.current = nullptr;
+  idle_[static_cast<std::size_t>(p.id / 64)] |= std::uint64_t{1} << (p.id % 64);
+}
+
 void Hypervisor::schedule_pcpu(Pcpu& p) {
   if (p.busy()) return;
   Decision d = scheduler_->do_schedule(p);
@@ -481,7 +508,7 @@ void Hypervisor::start_running(Pcpu& p, Vcpu& v, sim::Time slice) {
   v.pcpu = p.id;
   v.last_ran_pcpu = p.id;
   v.state = VcpuState::kRunning;
-  p.current = &v;
+  set_current(p, v);
   ++p.context_switches;
   charge_overhead(OverheadBucket::kContextSwitch, config_.context_switch_cost, &p);
   // Perfctr-Xen: a running VCPU's counters are saved/restored around each
@@ -611,7 +638,7 @@ void Hypervisor::end_segment(Pcpu& p, bool force_requeue) {
     return;
   }
 
-  p.current = nullptr;
+  clear_current(p);
   emit(trace::EventKind::kSwitchOut, v.id(), p.id, force_requeue ? 1 : 0);
   switch (out.kind) {
     case OutcomeKind::kContinue:

@@ -161,6 +161,17 @@ class Hypervisor {
   std::vector<Pcpu>& pcpus() { return pcpus_; }
   /// VCPUs waiting in any run queue of this machine.
   std::size_t queued_vcpus() const { return queued_vcpus_; }
+  /// VCPUs waiting in run queues other than `thief`'s: zero means a steal
+  /// by `thief`, which never takes from its own queue, must come back empty.
+  std::size_t queued_outside(const Pcpu& thief) const {
+    return queued_vcpus_ - thief.queue.size();
+  }
+  /// Whether `id` is in the idle-PCPU set (kept equal to current == nullptr;
+  /// the invariant checker compares the two).
+  bool in_idle_set(numa::PcpuId id) const {
+    const auto bit = static_cast<std::size_t>(id);
+    return (idle_[bit / 64] >> (bit % 64) & 1) != 0;
+  }
   Pcpu& pcpu(numa::PcpuId id) { return pcpus_.at(static_cast<std::size_t>(id)); }
 
   std::span<const std::unique_ptr<Domain>> domains() const { return domains_; }
@@ -216,6 +227,9 @@ class Hypervisor {
   Hypervisor(Config config, std::unique_ptr<Scheduler> scheduler,
              sim::Engine* shared);
 
+  /// The only writers of Pcpu::current: they keep idle_ in step.
+  void set_current(Pcpu& pcpu, Vcpu& vcpu);
+  void clear_current(Pcpu& pcpu);
   void schedule_pcpu(Pcpu& pcpu);
   void start_running(Pcpu& pcpu, Vcpu& vcpu, sim::Time slice);
   void start_segment(Pcpu& pcpu);
@@ -252,6 +266,12 @@ class Hypervisor {
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<Pcpu> pcpus_;
   std::size_t queued_vcpus_ = 0;
+  /// Bitset of idle PCPUs (bit p set iff pcpus_[p].current == nullptr), and
+  /// per node the bitset of its PCPUs; tickle_after_wake pokes from their
+  /// intersections, so a wake costs one word per 64 PCPUs plus one step
+  /// per idle peer.
+  std::vector<std::uint64_t> idle_;
+  std::vector<std::vector<std::uint64_t>> node_pcpus_;
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<Vcpu*> all_vcpus_;
   OverheadLedger ledger_;

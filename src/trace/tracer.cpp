@@ -1,6 +1,5 @@
 #include "trace/tracer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace vprobe::trace {
@@ -24,30 +23,35 @@ const char* to_string(EventKind kind) {
   return "?";
 }
 
-Tracer::Tracer(std::size_t capacity) {
+Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("Tracer: capacity must be > 0");
-  ring_.resize(capacity);
+  // Reserve, not resize: the ring grows by push_back until it is full, so
+  // a tracer that records little never touches (or zeroes) the rest.
+  ring_.reserve(capacity);
 }
 
 void Tracer::record(sim::Time when, EventKind kind, std::int32_t vcpu,
                     std::int32_t pcpu, std::int32_t aux) {
-  ring_[next_] = Record{when, kind, vcpu, pcpu, aux};
-  digest_.add(ring_[next_]);
-  // Wrap with a compare instead of %: next_ is always < size, and the
+  const Record r{when, kind, vcpu, pcpu, aux};
+  if (ring_.size() < capacity_) {
+    ring_.push_back(r);
+  } else {
+    ring_[next_] = r;
+  }
+  digest_.add(r);
+  // Wrap with a compare instead of %: next_ is always < capacity, and the
   // division would be the most expensive instruction on this hot path.
-  if (++next_ == ring_.size()) next_ = 0;
+  if (++next_ == capacity_) next_ = 0;
   ++total_;
   ++counts_[static_cast<std::size_t>(kind)];
 }
 
 std::vector<Record> Tracer::snapshot() const {
   std::vector<Record> out;
-  const std::size_t kept = static_cast<std::size_t>(
-      std::min<std::uint64_t>(total_, ring_.size()));
-  out.reserve(kept);
+  out.reserve(ring_.size());
   // Oldest retained element sits at next_ when the ring has wrapped.
-  std::size_t idx = total_ > ring_.size() ? next_ : 0;
-  for (std::size_t i = 0; i < kept; ++i) {
+  std::size_t idx = total_ > capacity_ ? next_ : 0;
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
     out.push_back(ring_[idx]);
     if (++idx == ring_.size()) idx = 0;
   }
@@ -55,6 +59,7 @@ std::vector<Record> Tracer::snapshot() const {
 }
 
 void Tracer::clear() {
+  ring_.clear();  // keeps the reserved capacity
   next_ = 0;
   total_ = 0;
   digest_ = TraceDigest{};

@@ -42,9 +42,9 @@ class Tracer {
   }
   std::uint64_t total_recorded() const { return total_; }
   std::uint64_t dropped() const {
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
+    return total_ > capacity_ ? total_ - capacity_ : 0;
   }
-  std::size_t capacity() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
 
   void clear();
 
@@ -52,6 +52,8 @@ class Tracer {
   void dump(std::FILE* out, std::size_t limit = 50) const;
 
  private:
+  std::size_t capacity_;
+  /// Grows to capacity_ records, then is overwritten in place at next_.
   std::vector<Record> ring_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;

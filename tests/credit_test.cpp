@@ -2,6 +2,9 @@
 // and NUMA-oblivious stealing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "test_helpers.hpp"
 
 namespace vprobe::hv {
@@ -277,6 +280,93 @@ TEST_F(CreditTest, AccountingRenormalizesAfterDomainDestroy) {
     EXPECT_LE(v.credits, p.credit_cap) << i;
     EXPECT_NE(v.priority, CreditPrio::kOver) << i;
   }
+}
+
+// -- steal: one draw per call, early exit when no peer holds work -----------
+
+// do_schedule on a PCPU calls steal() once (the local queue is empty, or its
+// head is OVER); these tests drive that directly, without starting timers.
+class CreditStealTest : public CreditTest {
+ protected:
+  /// Make `v` Runnable on `pcpu`'s queue with the given priority.
+  void queue_on(Vcpu& v, numa::PcpuId pcpu, CreditPrio prio) {
+    v.state = VcpuState::kRunnable;
+    v.priority = prio;
+    v.pcpu = pcpu;
+    hv_->pcpu(pcpu).queue.insert(v);
+  }
+
+  /// The host RNG as it should be after exactly one steal: one draw of the
+  /// random start PCPU.
+  sim::Rng after_one_draw() {
+    sim::Rng rng = hv_->rng();
+    rng.uniform_int(0, static_cast<std::int64_t>(hv_->pcpus().size()) - 1);
+    return rng;
+  }
+
+  Vcpu* schedule(numa::PcpuId pcpu) {
+    return hv_->scheduler().do_schedule(hv_->pcpu(pcpu)).vcpu;
+  }
+};
+
+TEST_F(CreditStealTest, DrawsOnceOnBothTheExitAndTheScanPath) {
+  Domain& dom = make_domain(1);
+  Vcpu& v = dom.vcpu(0);
+
+  // Exit path: nothing is queued anywhere.
+  sim::Rng expect = after_one_draw();
+  EXPECT_EQ(schedule(0), nullptr);
+  EXPECT_EQ(hv_->rng().next(), expect.next());
+
+  // Scan path: one VCPU queued on a peer is taken.
+  queue_on(v, 5, CreditPrio::kUnder);
+  expect = after_one_draw();
+  EXPECT_EQ(schedule(0), &v);
+  EXPECT_EQ(hv_->rng().next(), expect.next());
+  EXPECT_EQ(hv_->queued_vcpus(), 0u);
+  v.state = VcpuState::kBlocked;
+}
+
+TEST_F(CreditStealTest, FairnessStealWithNoPeerWorkTakesTheExit) {
+  // The only queued VCPU is the thief's own OVER head: the machine-wide
+  // count is 1, but nothing is queued outside the thief, so the fairness
+  // steal exits after its draw and the head runs.
+  Domain& dom = make_domain(1);
+  Vcpu& head = dom.vcpu(0);
+  queue_on(head, 2, CreditPrio::kOver);
+  ASSERT_EQ(hv_->queued_vcpus(), 1u);
+  ASSERT_EQ(hv_->queued_outside(hv_->pcpu(2)), 0u);
+
+  sim::Rng expect = after_one_draw();
+  EXPECT_EQ(schedule(2), &head);
+  EXPECT_EQ(hv_->rng().next(), expect.next());
+  head.state = VcpuState::kBlocked;
+}
+
+TEST_F(CreditStealTest, SingleVcpuOnAFarPcpuIsFoundFromEveryStart) {
+  // Thief PCPU 0 (node 0) has an OVER head; one UNDER VCPU waits on PCPU 7
+  // (node 1).  Whatever start PCPU the draw picks, the fairness steal must
+  // reach it; 200 steals draw every start (checked at the end).
+  Domain& dom = make_domain(2);
+  Vcpu& head = dom.vcpu(0);
+  Vcpu& far = dom.vcpu(1);
+  queue_on(head, 0, CreditPrio::kOver);
+  ASSERT_NE(hv_->pcpu(7).node, hv_->pcpu(0).node);
+  const auto n = static_cast<std::int64_t>(hv_->pcpus().size());
+  std::vector<bool> drawn(static_cast<std::size_t>(n), false);
+  for (int round = 0; round < 200; ++round) {
+    sim::Rng peek = hv_->rng();
+    const std::int64_t start = peek.uniform_int(0, n - 1);
+    queue_on(far, 7, CreditPrio::kUnder);
+    ASSERT_EQ(hv_->queued_outside(hv_->pcpu(0)), 1u);
+    ASSERT_EQ(schedule(0), &far) << "start " << start;
+    drawn[static_cast<std::size_t>(start)] = true;
+  }
+  EXPECT_EQ(std::count(drawn.begin(), drawn.end(), false), 0);
+  EXPECT_EQ(hv_->pcpu(0).queue.front(), &head);
+  hv_->pcpu(0).queue.remove(head);
+  head.state = VcpuState::kBlocked;
+  far.state = VcpuState::kBlocked;
 }
 
 TEST_F(CreditTest, BlockedVcpusDoNotEatCpu) {

@@ -147,6 +147,58 @@ TEST_F(PokeBatchTest, DestroyWithABatchPendingIsClean) {
   EXPECT_TRUE(log_.empty());
 }
 
+TEST(PokeBatch, WakeTicklesLocalIdlersThenTheRestInIdOrder) {
+  // 3 nodes x 30 PCPUs: the idle set spans two 64-bit words, and node 2
+  // (PCPUs 60-89) straddles the boundary.  A wake pokes its target, then
+  // the idle PCPUs of the target's node in ascending id, then every other
+  // idle PCPU in ascending id; the expected log is built by that rule.
+  // (The busy PCPUs and the target sit below 64: Vcpu::affinity_mask has
+  // one bit per PCPU, so a VCPU cannot run above PCPU 63.)
+  std::vector<std::string> log;
+  auto sched = std::make_unique<RecordingScheduler>();
+  sched->log = &log;
+  hv::Hypervisor::Config cfg;
+  cfg.machine.num_nodes = 3;
+  cfg.machine.cores_per_node = 30;
+  hv::Hypervisor hv(cfg, std::move(sched));
+  const std::vector<numa::PcpuId> busy = {5, 40, 62, 63};
+  hv::Domain& dom =
+      hv.create_domain("VM", 1LL << 30, static_cast<int>(busy.size()) + 1,
+                       numa::PlacementPolicy::kFillFirst, 0);
+  std::vector<FakeWork> works(busy.size() + 1);
+  for (std::size_t i = 0; i < works.size(); ++i) {
+    hv.bind_work(dom.vcpu(i), works[i]);
+  }
+  for (std::size_t i = 0; i < busy.size(); ++i) {
+    dom.vcpu(i).pcpu = busy[i];
+    hv.wake(dom.vcpu(i));
+    hv.engine().run_until(sim::Time::zero());
+    ASSERT_EQ(hv.pcpu(busy[i]).current, &dom.vcpu(i));
+  }
+
+  const numa::PcpuId target = 61;
+  const numa::NodeId node = hv.pcpu(target).node;
+  ASSERT_EQ(hv.pcpu(60).node, node);
+  ASSERT_EQ(hv.pcpu(89).node, node);
+  std::vector<std::string> want = {"sched " + std::to_string(target)};
+  for (const bool same_node : {true, false}) {
+    for (const hv::Pcpu& p : hv.pcpus()) {
+      if (p.idle() && p.id != target && (p.node == node) == same_node) {
+        want.push_back("sched " + std::to_string(p.id));
+      }
+    }
+  }
+  ASSERT_EQ(want.size(), hv.pcpus().size() - busy.size());
+
+  log.clear();
+  hv::Vcpu& v = dom.vcpu(busy.size());
+  v.pcpu = target;
+  hv.wake(v);
+  hv.engine().run_until(sim::Time::zero());
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(hv.pcpu(target).current, &v);
+}
+
 TEST(PokeBatch, SharedEngineOwnerClearsBeforeDestroy) {
   sim::Engine engine;
   FakeWork work;

@@ -111,6 +111,48 @@ TEST(TracerTest, ClearResets) {
   EXPECT_EQ(tracer.count(EventKind::kWake), 0u);
 }
 
+TEST(TracerTest, CapacityAndDroppedBeforeTheFirstRecord) {
+  // The ring grows lazily; its capacity is fixed from construction.
+  Tracer tracer(8192);
+  EXPECT_EQ(tracer.capacity(), 8192u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.total_recorded(), 0u);
+  EXPECT_TRUE(tracer.snapshot().empty());
+}
+
+TEST(TracerTest, ClearAfterAWrapThenWrapAgain) {
+  Tracer tracer(3);
+  for (int i = 0; i < 5; ++i) {
+    tracer.record(sim::Time::ms(i), EventKind::kWake, i, 0);
+  }
+  ASSERT_EQ(tracer.dropped(), 2u);
+  tracer.clear();
+  EXPECT_EQ(tracer.capacity(), 3u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_TRUE(tracer.snapshot().empty());
+
+  // Refilling after the clear starts from an empty ring, not from the slot
+  // the wrapped ring had reached.
+  tracer.record(sim::Time::ms(10), EventKind::kBlock, 10, 0);
+  auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].vcpu, 10);
+  EXPECT_EQ(tracer.digest(), digest_records(events));
+
+  for (int i = 11; i < 17; ++i) {
+    tracer.record(sim::Time::ms(i), EventKind::kBlock, i, 0);
+  }
+  EXPECT_EQ(tracer.total_recorded(), 7u);
+  EXPECT_EQ(tracer.dropped(), 4u);
+  EXPECT_EQ(tracer.count(EventKind::kWake), 0u);
+  EXPECT_EQ(tracer.count(EventKind::kBlock), 7u);
+  events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].vcpu, 14);
+  EXPECT_EQ(events[1].vcpu, 15);
+  EXPECT_EQ(events[2].vcpu, 16);
+}
+
 TEST(TracerTest, ZeroCapacityRejected) {
   EXPECT_THROW(Tracer(0), std::invalid_argument);
 }
