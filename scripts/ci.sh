@@ -9,36 +9,14 @@ JOBS="${JOBS:-$(nproc)}"
 echo "== default preset: build + full test suite =="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
+# Every ctest label (golden, engine, sched, churn, costmodel, cluster,
+# pdes, serving, ...) and the bench smokes registered with add_test
+# (engine_bench, costmodel_bench, scaling_machines, pdes_scaling,
+# serving_bench --smoke) run here, once.
 ctest --preset default -j "$JOBS"
-
-echo "== labelled suites (golden, differential, engine, sched, churn, costmodel, cluster, pdes, serving) =="
-ctest --test-dir build -L golden --output-on-failure
-ctest --test-dir build -L differential --output-on-failure
-ctest --test-dir build -L engine --output-on-failure
-ctest --test-dir build -L sched --output-on-failure
-ctest --test-dir build -L churn --output-on-failure
-ctest --test-dir build -L costmodel --output-on-failure
-ctest --test-dir build -L cluster --output-on-failure
-ctest --test-dir build -L pdes --output-on-failure
-ctest --test-dir build -L serving --output-on-failure
-
-echo "== engine hot-path smoke (zero steady-state allocations gate) =="
-./build/bench/engine_bench --smoke
-
-echo "== cost-model memo smoke (bit-identity + hit-rate + lookup-count gate) =="
-./build/bench/costmodel_bench --smoke
 
 echo "== lifecycle churn fuzzer smoke (invariants under create/destroy/pause) =="
 ./build/tests/churn_fuzz_test --smoke
-
-echo "== fleet scaling smoke (cluster determinism + live migration + FleetCheck) =="
-./build/bench/scaling_machines --smoke
-
-echo "== PDES scaling smoke (sharded/batched/unbatched digest identity + coalescing proof) =="
-./build/bench/pdes_scaling --smoke
-
-echo "== serving smoke (calm prefix + spike collapse + PDES identity + 1M-rps lazy-arrival gate) =="
-./build/bench/serving_bench --smoke
 
 echo "== perfbench self-test (both scheduled workloads against perfbench/pins.txt) =="
 python3 perfbench/run.py --self-test

@@ -36,15 +36,17 @@ Cli::Cli(int argc, char** argv) {
         options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
         continue;
       }
+      // Values are assigned as std::string temporaries: GCC 12's
+      // -Wrestrict misfires on string::operator=(const char*) here.
       const std::string key = arg.substr(2);
       if (takes_value(key) && i + 1 < argc &&
           std::strncmp(argv[i + 1], "--", 2) != 0) {
-        options_[key] = argv[++i];
+        options_[key] = std::string(argv[++i]);
       } else {
-        options_[key] = "1";
+        options_[key] = std::string("1");
       }
     } else if (arg == "-h") {
-      options_["help"] = "1";
+      options_["help"] = std::string("1");
     } else {
       positional_.push_back(arg);
     }
@@ -88,9 +90,6 @@ BenchFlags parse_bench_flags(const Cli& cli, double default_scale) {
   flags.jobs = cli.get_int("jobs", 1);
   flags.config.checks = cli.has("checks");
   flags.config.rate_cache = !cli.has("no-rate-cache");
-  flags.config.sim_threads = cli.get_int("sim-threads", 1);
-  flags.config.window_batch = !cli.has("no-window-batch");
-  flags.config.lazy_arrivals = !cli.has("no-lazy-arrivals");
   if (cli.has("json")) {
     const std::string path = cli.get("json", "-");
     flags.json_path = (path == "1") ? "-" : path;
@@ -118,10 +117,6 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
       "Standard options (all accept --key=value or --key value):\n"
       "  --jobs N         run N simulations concurrently (0 = all host cores;\n"
       "                   results are bit-identical to --jobs 1)\n"
-      "  --sim-threads N  engine shards inside one cluster run (0 = all host\n"
-      "                   cores): hosts advance on N worker threads under the\n"
-      "                   conservative-lookahead synchronizer, bit-identical\n"
-      "                   to --sim-threads 1; single-machine runs ignore it\n"
       "  --repeats N      average every experiment over N seeds (default 3)\n"
       "  --seed S         base RNG seed (default 1)\n"
       "  --instr-scale X  scale app instruction budgets; 1.0 = paper-scale\n"
@@ -135,14 +130,6 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
       "  --no-rate-cache  disable the cost-model memoization (results are\n"
       "                   bit-identical either way; this is the escape hatch\n"
       "                   differential tests use to prove it)\n"
-      "  --no-window-batch  disable batched PDES windows in sharded cluster\n"
-      "                   runs: every control event pays a full all-shard\n"
-      "                   barrier again (bit-identical either way; the\n"
-      "                   escape hatch the pdes differential sweep uses)\n"
-      "  --no-lazy-arrivals  deliver open-loop arrivals one engine event\n"
-      "                   per request instead of pre-drawn lazy blocks\n"
-      "                   (bit-identical either way; the escape hatch the\n"
-      "                   serving identity tests use, docs/SERVING.md)\n"
       "  --help           this text\n");
   if (extra != nullptr && *extra != '\0') {
     std::printf("\n%s\n", extra);

@@ -1,7 +1,8 @@
-// One function per experiment family in Section V.  Each builds a fresh
-// hypervisor + VM set, runs the workload to completion (or the horizon),
-// and returns the metrics the corresponding figure plots.  Normalisation
-// against the Credit baseline happens in the bench binaries.
+// The knobs of one Section V experiment run.  The experiments themselves
+// are RunSpec factories (run_plan.hpp): each builds a fresh hypervisor + VM
+// set, runs the workload to completion (or the horizon), and returns the
+// metrics the corresponding figure plots.  Normalisation against the Credit
+// baseline happens in the bench binaries.
 #pragma once
 
 #include <string_view>
@@ -32,66 +33,15 @@ struct RunConfig {
   /// throw if any invariant is violated.  Hook-level checking needs a
   /// VPROBE_CHECKS build; other builds still get the final full sweep.
   bool checks = false;
-  /// Engine shards inside one cluster run (--sim-threads): 1 = serial
-  /// reference path; N > 1 runs host shards on worker threads under the
-  /// PDES synchronizer, bit-identical to 1 (docs/PDES.md).  Single-machine
-  /// experiments ignore this — their one event stream has nothing to
-  /// shard.
-  int sim_threads = 1;
-  /// Batched demand-driven PDES windows (--no-window-batch clears it):
-  /// coalesce control events and dispatch only busy shards.  Bit-identical
-  /// either way (docs/PDES.md); serial runs ignore it.
-  bool window_batch = true;
-  /// Lazy open-loop arrival delivery (--no-lazy-arrivals clears it):
-  /// pre-draw arrival blocks and deliver them at coupling points instead
-  /// of one engine event per request.  Bit-identical either way
-  /// (docs/SERVING.md); runs without an open-loop client ignore it.
-  bool lazy_arrivals = true;
 };
 
-/// SPEC CPU2006 workload (Figure 4): VM1 and VM2 run identical instance
-/// sets of `app` (4+4, except mcf: 6+2), VM3 runs hungry loops.  `app` may
-/// be "mix" — one instance each of soplex/libquantum/mcf/milc per VM.
-stats::RunMetrics run_spec(const RunConfig& config, std::string_view app);
-
-/// Single-seed variants: one simulation, config.repeats ignored.  These are
-/// the units the RunPlan executor (run_plan.hpp) schedules; the plain
-/// entry points below average them over config.repeats seeds.
-stats::RunMetrics run_spec_single(const RunConfig& config, std::string_view app);
-stats::RunMetrics run_npb_single(const RunConfig& config, std::string_view app);
-stats::RunMetrics run_memcached_single(const RunConfig& config, int concurrency,
-                                       std::uint64_t total_ops);
-stats::RunMetrics run_redis_single(const RunConfig& config, int connections,
-                                   std::uint64_t total_requests);
-stats::RunMetrics run_overhead_single(const RunConfig& config, int num_vms);
-
-/// NPB workload (Figure 5): a 4-threaded `app` in VM1 and VM2 each.
-stats::RunMetrics run_npb(const RunConfig& config, std::string_view app);
-
-/// Memcached (Figure 6): 8-port servers in VM1 and VM2, memslap-style
-/// closed-loop clients at `concurrency` outstanding calls each; measures
-/// VM1's server.
-stats::RunMetrics run_memcached(const RunConfig& config, int concurrency,
-                                std::uint64_t total_ops = 400'000);
-
-/// Redis (Figure 7): 4 servers in VM1, 4 redis-benchmark tools in VM2,
-/// `connections` parallel connections per tool.
-stats::RunMetrics run_redis(const RunConfig& config, int connections,
-                            std::uint64_t total_requests = 400'000);
-
 /// Solo calibration run (Figure 3): one 1-VCPU VM runs `app` alone with
-/// node-local memory; returns LLC miss rate and RPTI via RunMetrics
-/// (total/remote fields reused: see bench/fig3_bounds).
+/// node-local memory; returns its LLC miss rate, RPTI and runtime.
 struct SoloMetrics {
   double llc_miss_rate = 0.0;  ///< misses / references
   double rpti = 0.0;           ///< references per 1000 instructions
   double runtime_s = 0.0;
 };
 SoloMetrics run_solo(const RunConfig& config, std::string_view app);
-
-/// Overhead experiment (Table III): `num_vms` VMs (4 GB, 2 VCPUs, 2 soplex
-/// instances each) under the full vProbe scheduler; returns the fraction of
-/// "overhead time" (PMU collection + partitioning) in total busy time.
-stats::RunMetrics run_overhead(const RunConfig& config, int num_vms);
 
 }  // namespace vprobe::runner

@@ -10,103 +10,17 @@
 
 namespace vprobe::runner {
 
-const char* to_string(ExperimentFamily family) {
-  switch (family) {
-    case ExperimentFamily::kSpec:      return "spec";
-    case ExperimentFamily::kNpb:       return "npb";
-    case ExperimentFamily::kMemcached: return "memcached";
-    case ExperimentFamily::kRedis:     return "redis";
-    case ExperimentFamily::kOverhead:  return "overhead";
-    case ExperimentFamily::kCustom:    return "custom";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------- RunSpec ----
 
-RunSpec RunSpec::spec(const RunConfig& config, std::string_view app) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kSpec;
-  s.app = std::string(app);
-  s.label = "spec:" + s.app;
-  return s;
-}
-
-RunSpec RunSpec::npb(const RunConfig& config, std::string_view app) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kNpb;
-  s.app = std::string(app);
-  s.label = "npb:" + s.app;
-  return s;
-}
-
-RunSpec RunSpec::memcached(const RunConfig& config, int concurrency,
-                           std::uint64_t total_ops) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kMemcached;
-  s.param = concurrency;
-  s.ops = total_ops;
-  s.label = "memcached:c" + std::to_string(concurrency);
-  return s;
-}
-
-RunSpec RunSpec::redis(const RunConfig& config, int connections,
-                       std::uint64_t total_requests) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kRedis;
-  s.param = connections;
-  s.ops = total_requests;
-  s.label = "redis:p" + std::to_string(connections);
-  return s;
-}
-
-RunSpec RunSpec::overhead(const RunConfig& config, int num_vms) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kOverhead;
-  s.param = num_vms;
-  s.label = "overhead:" + std::to_string(num_vms) + "vms";
-  return s;
-}
-
-RunSpec RunSpec::custom_job(
-    const RunConfig& config, std::string label,
-    std::function<stats::RunMetrics(const RunConfig&)> fn) {
-  RunSpec s;
-  s.config = config;
-  s.family = ExperimentFamily::kCustom;
-  s.label = std::move(label);
-  s.custom = std::move(fn);
-  return s;
+RunSpec RunSpec::custom_job(const RunConfig& config, std::string label,
+                            Body fn) {
+  return RunSpec{config, std::move(label), std::move(fn)};
 }
 
 RunSpec RunSpec::with_sched(SchedKind kind) const {
   RunSpec s = *this;
   s.config.sched = kind;
   return s;
-}
-
-stats::RunMetrics RunSpec::run_single(const RunConfig& cfg) const {
-  switch (family) {
-    case ExperimentFamily::kSpec:
-      return run_spec_single(cfg, app);
-    case ExperimentFamily::kNpb:
-      return run_npb_single(cfg, app);
-    case ExperimentFamily::kMemcached:
-      return run_memcached_single(cfg, param, ops);
-    case ExperimentFamily::kRedis:
-      return run_redis_single(cfg, param, ops);
-    case ExperimentFamily::kOverhead:
-      return run_overhead_single(cfg, param);
-    case ExperimentFamily::kCustom:
-      if (!custom) throw std::logic_error("RunSpec: custom job without body");
-      return custom(cfg);
-  }
-  throw std::logic_error("RunSpec: bad family");
 }
 
 // ---------------------------------------------------------------- RunPlan ----
@@ -180,7 +94,7 @@ std::vector<RunResult> ParallelExecutor::run(const RunPlan& plan) const {
       cfg.seed = job.config.seed + static_cast<std::uint64_t>(unit.rep);
       cfg.repeats = 1;
       try {
-        unit_metrics[u] = job.run_single(cfg);
+        unit_metrics[u] = job.body(cfg);
       } catch (const std::exception& e) {
         unit_errors[u] = e.what();
       } catch (...) {
@@ -237,6 +151,12 @@ std::vector<stats::RunMetrics> execute_plan(const RunPlan& plan,
     metrics.push_back(r.metrics);
   }
   return metrics;
+}
+
+stats::RunMetrics run_one(RunSpec spec) {
+  RunPlan plan;
+  plan.add(std::move(spec));
+  return execute_plan(plan).front();
 }
 
 }  // namespace vprobe::runner

@@ -1,7 +1,7 @@
 // Declarative run plans and the parallel executor.
 //
-// A RunSpec describes one experiment job — a RunConfig plus an experiment
-// family and its parameters — without running anything.  A RunPlan is an
+// A RunSpec describes one experiment job — a RunConfig plus the function
+// that runs one simulation of it — without running anything.  A RunPlan is an
 // ordered list of jobs (typically a workload × scheduler grid).  The
 // ParallelExecutor runs a plan on a pool of worker threads and returns
 // results keyed by job index, so output never depends on completion order.
@@ -19,6 +19,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/experiment.hpp"
@@ -26,49 +27,45 @@
 
 namespace vprobe::runner {
 
-/// The experiment families of Section V, plus an escape hatch for
-/// bench-specific setups (solo calibration, misplaced-memory ablation...).
-enum class ExperimentFamily {
-  kSpec,       ///< run_spec(config, app)
-  kNpb,        ///< run_npb(config, app)
-  kMemcached,  ///< run_memcached(config, param, ops)
-  kRedis,      ///< run_redis(config, param, ops)
-  kOverhead,   ///< run_overhead(config, param)
-  kCustom,     ///< user-provided callable
-};
-
-const char* to_string(ExperimentFamily family);
-
-/// One job: a RunConfig + experiment family + parameters + display label.
+/// One job: a RunConfig, a display label, and the body that runs one
+/// simulation of it.  The body ignores cfg.repeats (repeat expansion is
+/// the executor's job) and must be safe to call concurrently with *other*
+/// jobs: build its own hypervisor/engine, share nothing mutable.
 struct RunSpec {
-  RunConfig config;
-  ExperimentFamily family = ExperimentFamily::kCustom;
-  std::string app;       ///< SPEC/NPB profile name (kSpec/kNpb)
-  int param = 0;         ///< concurrency / connections / num_vms
-  std::uint64_t ops = 0; ///< total operations (kMemcached/kRedis)
-  std::string label;     ///< progress & error display, e.g. "spec:soplex"
-  /// kCustom body; must be safe to call concurrently with *other* jobs
-  /// (i.e. build its own hypervisor/engine, share nothing mutable).
-  std::function<stats::RunMetrics(const RunConfig&)> custom;
+  using Body = std::function<stats::RunMetrics(const RunConfig&)>;
 
-  // -- Factories (label filled in) -------------------------------------------
+  RunConfig config;
+  std::string label;  ///< progress & error display, e.g. "spec:soplex"
+  Body body;
+
+  // -- The Section V experiments (experiment.cpp) ----------------------------
+  /// SPEC CPU2006 (Figure 4): VM1 and VM2 run identical instance sets of
+  /// `app` (4+4, except mcf: 6+2), VM3 runs hungry loops.  `app` may be
+  /// "mix" — one instance each of soplex/libquantum/mcf/milc per VM.
   static RunSpec spec(const RunConfig& config, std::string_view app);
+  /// NPB (Figure 5): a 4-threaded `app` in VM1 and VM2 each.
   static RunSpec npb(const RunConfig& config, std::string_view app);
+  /// Memcached (Figure 6): 8-port servers in VM1 and VM2, memslap-style
+  /// closed-loop clients at `concurrency` outstanding calls each; measures
+  /// VM1's server.
   static RunSpec memcached(const RunConfig& config, int concurrency,
                            std::uint64_t total_ops = 400'000);
+  /// Redis (Figure 7): 4 servers in VM1, 4 redis-benchmark tools in VM2,
+  /// `connections` parallel connections per tool.
   static RunSpec redis(const RunConfig& config, int connections,
                        std::uint64_t total_requests = 400'000);
+  /// Overhead (Table III): `num_vms` VMs (4 GB, 2 VCPUs, 2 soplex instances
+  /// each) under the full vProbe scheduler, whatever config.sched says;
+  /// reports the "overhead time" (PMU collection + partitioning) as a
+  /// fraction of total busy time.
   static RunSpec overhead(const RunConfig& config, int num_vms);
-  static RunSpec custom_job(
-      const RunConfig& config, std::string label,
-      std::function<stats::RunMetrics(const RunConfig&)> fn);
+
+  /// Any other setup: `fn(cfg)` runs one simulation.
+  static RunSpec custom_job(const RunConfig& config, std::string label,
+                            Body fn);
 
   /// Copy of this spec targeting another scheduler (for sweeps).
   RunSpec with_sched(SchedKind kind) const;
-
-  /// Run exactly one simulation with `cfg` (ignores cfg.repeats — repeat
-  /// expansion is the executor's job).
-  stats::RunMetrics run_single(const RunConfig& cfg) const;
 };
 
 /// An ordered list of jobs.  Order defines result order.
@@ -125,5 +122,9 @@ class ParallelExecutor {
 /// (message carries the job label), otherwise returns metrics in job order.
 std::vector<stats::RunMetrics> execute_plan(const RunPlan& plan,
                                             ExecutorOptions options = {});
+
+/// Run one job serially — all its repeats, folded — and unwrap it like
+/// execute_plan.
+stats::RunMetrics run_one(RunSpec spec);
 
 }  // namespace vprobe::runner

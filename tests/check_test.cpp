@@ -13,7 +13,7 @@
 #include <string>
 
 #include "check/invariants.hpp"
-#include "runner/experiment.hpp"
+#include "runner/run_plan.hpp"
 #include "scenario_helpers.hpp"
 #include "test_helpers.hpp"
 
@@ -217,9 +217,9 @@ TEST(CheckOverhead, ChecksChargeNothingToTheOverheadLedger) {
   cfg.instr_scale = 0.002;
   cfg.horizon = sim::Time::sec(300);
 
-  stats::RunMetrics plain = runner::run_overhead_single(cfg, 1);
+  stats::RunMetrics plain = runner::run_one(runner::RunSpec::overhead(cfg, 1));
   cfg.checks = true;
-  stats::RunMetrics checked = runner::run_overhead_single(cfg, 1);
+  stats::RunMetrics checked = runner::run_one(runner::RunSpec::overhead(cfg, 1));
 
   EXPECT_EQ(plain.overhead_fraction, checked.overhead_fraction);
   EXPECT_EQ(plain.sim_seconds, checked.sim_seconds);

@@ -3,7 +3,7 @@
 // the paper reports (who wins, which direction a metric moves).
 #include <gtest/gtest.h>
 
-#include "runner/experiment.hpp"
+#include "runner/run_plan.hpp"
 
 namespace vprobe::runner {
 namespace {
@@ -21,7 +21,7 @@ RunConfig quick(SchedKind sched) {
 
 TEST(Integration, SpecRunCompletesUnderAllSchedulers) {
   for (SchedKind kind : paper_schedulers()) {
-    const auto m = run_spec(quick(kind), "milc");
+    const auto m = run_one(RunSpec::spec(quick(kind), "milc"));
     EXPECT_TRUE(m.completed) << to_string(kind);
     EXPECT_GT(m.avg_runtime_s, 0.0) << to_string(kind);
     EXPECT_GT(m.total_mem_accesses, 0.0) << to_string(kind);
@@ -30,8 +30,8 @@ TEST(Integration, SpecRunCompletesUnderAllSchedulers) {
 }
 
 TEST(Integration, VprobeBeatsCreditOnSpec) {
-  const auto credit = run_spec(quick(SchedKind::kCredit), "soplex");
-  const auto vprobe = run_spec(quick(SchedKind::kVprobe), "soplex");
+  const auto credit = run_one(RunSpec::spec(quick(SchedKind::kCredit), "soplex"));
+  const auto vprobe = run_one(RunSpec::spec(quick(SchedKind::kVprobe), "soplex"));
   ASSERT_TRUE(credit.completed);
   ASSERT_TRUE(vprobe.completed);
   EXPECT_LT(vprobe.avg_runtime_s, credit.avg_runtime_s)
@@ -43,33 +43,33 @@ TEST(Integration, VprobeBeatsCreditOnSpec) {
 TEST(Integration, VprobeBeatsCreditOnNpb) {
   RunConfig cfg = quick(SchedKind::kCredit);
   cfg.instr_scale = 0.015;
-  const auto credit = run_npb(cfg, "sp");
+  const auto credit = run_one(RunSpec::npb(cfg, "sp"));
   cfg.sched = SchedKind::kVprobe;
-  const auto vprobe = run_npb(cfg, "sp");
+  const auto vprobe = run_one(RunSpec::npb(cfg, "sp"));
   ASSERT_TRUE(credit.completed);
   ASSERT_TRUE(vprobe.completed);
   EXPECT_LT(vprobe.avg_runtime_s, credit.avg_runtime_s);
 }
 
 TEST(Integration, CreditHasHighRemoteRatio) {
-  const auto m = run_spec(quick(SchedKind::kCredit), "milc");
+  const auto m = run_one(RunSpec::spec(quick(SchedKind::kCredit), "milc"));
   ASSERT_TRUE(m.completed);
   EXPECT_GT(m.remote_access_ratio(), 0.3)
       << "NUMA-oblivious Credit should leave a large remote-access share";
 }
 
 TEST(Integration, VprobeReducesRemoteRatio) {
-  const auto credit = run_spec(quick(SchedKind::kCredit), "libquantum");
-  const auto vprobe = run_spec(quick(SchedKind::kVprobe), "libquantum");
+  const auto credit = run_one(RunSpec::spec(quick(SchedKind::kCredit), "libquantum"));
+  const auto vprobe = run_one(RunSpec::spec(quick(SchedKind::kVprobe), "libquantum"));
   ASSERT_TRUE(credit.completed && vprobe.completed);
   EXPECT_LT(vprobe.remote_access_ratio(), credit.remote_access_ratio());
 }
 
 TEST(Integration, MemcachedCompletesAndVprobeWins) {
   RunConfig cfg = quick(SchedKind::kCredit);
-  const auto credit = run_memcached(cfg, 64, 60'000);
+  const auto credit = run_one(RunSpec::memcached(cfg, 64, 60'000));
   cfg.sched = SchedKind::kVprobe;
-  const auto vprobe = run_memcached(cfg, 64, 60'000);
+  const auto vprobe = run_one(RunSpec::memcached(cfg, 64, 60'000));
   ASSERT_TRUE(credit.completed && vprobe.completed);
   EXPECT_GT(credit.throughput_rps, 0.0);
   EXPECT_LT(vprobe.avg_runtime_s, credit.avg_runtime_s);
@@ -77,9 +77,9 @@ TEST(Integration, MemcachedCompletesAndVprobeWins) {
 
 TEST(Integration, RedisCompletesAndVprobeWins) {
   RunConfig cfg = quick(SchedKind::kCredit);
-  const auto credit = run_redis(cfg, 2000, 60'000);
+  const auto credit = run_one(RunSpec::redis(cfg, 2000, 60'000));
   cfg.sched = SchedKind::kVprobe;
-  const auto vprobe = run_redis(cfg, 2000, 60'000);
+  const auto vprobe = run_one(RunSpec::redis(cfg, 2000, 60'000));
   ASSERT_TRUE(credit.completed && vprobe.completed);
   EXPECT_GT(vprobe.throughput_rps, credit.throughput_rps);
 }
@@ -98,7 +98,7 @@ TEST(Integration, SoloRunsReproduceFigure3Rpti) {
 TEST(Integration, OverheadIsNegligible) {
   RunConfig cfg = quick(SchedKind::kVprobe);
   cfg.instr_scale = 0.05;
-  const auto m = run_overhead(cfg, 2);
+  const auto m = run_one(RunSpec::overhead(cfg, 2));
   ASSERT_TRUE(m.completed);
   EXPECT_LT(m.overhead_fraction, 0.001)
       << "paper: overhead time is far below 0.1% of execution time";
@@ -106,8 +106,8 @@ TEST(Integration, OverheadIsNegligible) {
 }
 
 TEST(Integration, DeterministicAcrossRuns) {
-  const auto a = run_spec(quick(SchedKind::kVprobe), "milc");
-  const auto b = run_spec(quick(SchedKind::kVprobe), "milc");
+  const auto a = run_one(RunSpec::spec(quick(SchedKind::kVprobe), "milc"));
+  const auto b = run_one(RunSpec::spec(quick(SchedKind::kVprobe), "milc"));
   EXPECT_DOUBLE_EQ(a.avg_runtime_s, b.avg_runtime_s);
   EXPECT_DOUBLE_EQ(a.total_mem_accesses, b.total_mem_accesses);
   EXPECT_EQ(a.migrations, b.migrations);
@@ -116,9 +116,9 @@ TEST(Integration, DeterministicAcrossRuns) {
 TEST(Integration, SeedChangesScheduleButNotOutcomeDirection) {
   RunConfig cfg = quick(SchedKind::kCredit);
   cfg.seed = 99;
-  const auto credit = run_spec(cfg, "soplex");
+  const auto credit = run_one(RunSpec::spec(cfg, "soplex"));
   cfg.sched = SchedKind::kVprobe;
-  const auto vprobe = run_spec(cfg, "soplex");
+  const auto vprobe = run_one(RunSpec::spec(cfg, "soplex"));
   ASSERT_TRUE(credit.completed && vprobe.completed);
   EXPECT_LT(vprobe.avg_runtime_s, credit.avg_runtime_s);
 }

@@ -10,7 +10,7 @@
 #include "numa/rate_tracker.hpp"
 #include "perf/warmth.hpp"
 #include "perf/cost_model.hpp"
-#include "runner/experiment.hpp"
+#include "runner/run_plan.hpp"
 #include "test_helpers.hpp"
 
 namespace vprobe {
@@ -220,7 +220,7 @@ TEST_P(SamplingPeriods, VprobeCompletesForAnyPeriod) {
   cfg.instr_scale = 0.01;
   cfg.sampling_period = sim::Time::ms(GetParam());
   cfg.horizon = sim::Time::sec(1200);
-  const auto m = runner::run_spec(cfg, "milc");
+  const auto m = runner::run_one(runner::RunSpec::spec(cfg, "milc"));
   EXPECT_TRUE(m.completed) << "period " << GetParam() << " ms";
   EXPECT_GT(m.avg_runtime_s, 0.0);
 }

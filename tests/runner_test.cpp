@@ -4,7 +4,7 @@
 
 #include "core/vprobe_sched.hpp"
 #include "runner/cli.hpp"
-#include "runner/experiment.hpp"
+#include "runner/run_plan.hpp"
 #include "runner/scenario.hpp"
 #include "runner/scenario_file.hpp"
 
@@ -168,7 +168,7 @@ RunConfig tiny(SchedKind sched) {
 }
 
 TEST(Experiments, MetadataFilledIn) {
-  const auto m = run_spec(tiny(SchedKind::kCredit), "milc");
+  const auto m = run_one(RunSpec::spec(tiny(SchedKind::kCredit), "milc"));
   EXPECT_EQ(m.scheduler, "Credit");
   EXPECT_EQ(m.workload, "spec:milc");
   EXPECT_TRUE(m.completed);
@@ -178,7 +178,7 @@ TEST(Experiments, MetadataFilledIn) {
 }
 
 TEST(Experiments, McfRunsSixPlusTwoInstances) {
-  const auto m = run_spec(tiny(SchedKind::kCredit), "mcf");
+  const auto m = run_one(RunSpec::spec(tiny(SchedKind::kCredit), "mcf"));
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.app_runtime_s.size(), 6u);  // six in the measured VM1
 }
@@ -186,14 +186,14 @@ TEST(Experiments, McfRunsSixPlusTwoInstances) {
 TEST(Experiments, Fig1ConfigRunsMcfWithFourInstances) {
   RunConfig cfg = tiny(SchedKind::kCredit);
   cfg.fig1_memory_config = true;  // 8 GB VM1 cannot hold six mcf instances
-  const auto m = run_spec(cfg, "mcf");
+  const auto m = run_one(RunSpec::spec(cfg, "mcf"));
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.app_runtime_s.size(), 4u);
 }
 
 TEST(Experiments, DeterministicForFixedSeed) {
-  const auto a = run_npb(tiny(SchedKind::kVprobe), "lu");
-  const auto b = run_npb(tiny(SchedKind::kVprobe), "lu");
+  const auto a = run_one(RunSpec::npb(tiny(SchedKind::kVprobe), "lu"));
+  const auto b = run_one(RunSpec::npb(tiny(SchedKind::kVprobe), "lu"));
   EXPECT_DOUBLE_EQ(a.avg_runtime_s, b.avg_runtime_s);
   EXPECT_DOUBLE_EQ(a.total_mem_accesses, b.total_mem_accesses);
   EXPECT_EQ(a.migrations, b.migrations);
@@ -201,9 +201,9 @@ TEST(Experiments, DeterministicForFixedSeed) {
 
 TEST(Experiments, SeedChangesTheSchedule) {
   RunConfig cfg = tiny(SchedKind::kCredit);
-  const auto a = run_spec(cfg, "soplex");
+  const auto a = run_one(RunSpec::spec(cfg, "soplex"));
   cfg.seed = 1234;
-  const auto b = run_spec(cfg, "soplex");
+  const auto b = run_one(RunSpec::spec(cfg, "soplex"));
   EXPECT_NE(a.avg_runtime_s, b.avg_runtime_s);
 }
 
@@ -213,13 +213,13 @@ TEST(Experiments, AveragedRepeatsLieWithinSingleSeedEnvelope) {
   for (int s = 1; s <= 3; ++s) {
     cfg.seed = static_cast<std::uint64_t>(s);
     cfg.repeats = 1;
-    const double v = run_spec(cfg, "milc").avg_runtime_s;
+    const double v = run_one(RunSpec::spec(cfg, "milc")).avg_runtime_s;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
   cfg.seed = 1;
   cfg.repeats = 3;
-  const auto avg = run_spec(cfg, "milc");
+  const auto avg = run_one(RunSpec::spec(cfg, "milc"));
   EXPECT_GE(avg.avg_runtime_s, lo - 1e-9);
   EXPECT_LE(avg.avg_runtime_s, hi + 1e-9);
   EXPECT_TRUE(avg.completed);
@@ -244,7 +244,7 @@ TEST(Experiments, OverheadScalesWithVmCountAndStaysTiny) {
   RunConfig cfg = tiny(SchedKind::kVprobe);
   cfg.instr_scale = 0.05;
   for (int vms = 1; vms <= 4; ++vms) {
-    const auto m = run_overhead(cfg, vms);
+    const auto m = run_one(RunSpec::overhead(cfg, vms));
     EXPECT_TRUE(m.completed) << vms;
     EXPECT_GT(m.overhead_fraction, 0.0) << vms;
     EXPECT_LT(m.overhead_fraction, 1e-3) << vms << " VMs: must be << 0.1%";
@@ -254,7 +254,7 @@ TEST(Experiments, OverheadScalesWithVmCountAndStaysTiny) {
 TEST(Experiments, MemcachedThroughputPositiveAcrossConcurrency) {
   RunConfig cfg = tiny(SchedKind::kCredit);
   for (int c : {16, 64, 112}) {
-    const auto m = run_memcached(cfg, c, 20'000);
+    const auto m = run_one(RunSpec::memcached(cfg, c, 20'000));
     EXPECT_TRUE(m.completed) << c;
     EXPECT_GT(m.throughput_rps, 0.0) << c;
   }
@@ -262,8 +262,8 @@ TEST(Experiments, MemcachedThroughputPositiveAcrossConcurrency) {
 
 TEST(Experiments, RedisThroughputFallsWithConnections) {
   RunConfig cfg = tiny(SchedKind::kCredit);
-  const auto low = run_redis(cfg, 2000, 60'000);
-  const auto high = run_redis(cfg, 10000, 60'000);
+  const auto low = run_one(RunSpec::redis(cfg, 2000, 60'000));
+  const auto high = run_one(RunSpec::redis(cfg, 10000, 60'000));
   ASSERT_TRUE(low.completed && high.completed);
   EXPECT_GT(low.throughput_rps, high.throughput_rps)
       << "per-connection overhead must reduce throughput (Figure 7a)";
