@@ -89,12 +89,11 @@ std::string refused_flag(const runner::Cli& cli) {
       return std::string("--") + flag + " is not supported: " + reason;
     }
   }
-  // "--json my.scn" would take the file as the JSON path and run the demo.
+  // Scenario results go to stdout only; --json=PATH would silently not write.
   if (cli.has("json")) {
     const std::string value = cli.get("json", "-");
     if (value != "-" && value != "1") {
-      return "--json prints to stdout and takes no path (got '" + value +
-             "'; put the scenario file before --json)";
+      return "--json prints to stdout and takes no path (got '" + value + "')";
     }
   }
   return {};

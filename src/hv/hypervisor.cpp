@@ -327,14 +327,10 @@ void Hypervisor::wake(Vcpu& vcpu) {
     return;
   }
   if (vcpu.state != VcpuState::kBlocked) return;
-  // A VCPU pinned after it last ran must wake inside its mask.
+  // A VCPU pinned after it last ran must wake on its pinned PCPU; one that
+  // never had a PCPU starts on PCPU 0.
   if (!vcpu.allowed_on(vcpu.pcpu)) {
-    for (int p = 0; p < topology_.num_pcpus(); ++p) {
-      if (vcpu.allowed_on(p)) {
-        vcpu.pcpu = static_cast<numa::PcpuId>(p);
-        break;
-      }
-    }
+    vcpu.pcpu = vcpu.is_pinned() ? vcpu.pinned : 0;
   }
   vcpu.state = VcpuState::kRunnable;
   ++vcpu.wakeups;
@@ -434,21 +430,11 @@ void Hypervisor::migrate_to_node(Vcpu& vcpu, numa::NodeId node) {
   if (!topology_.valid_node(node)) {
     throw std::invalid_argument("migrate_to_node: bad node");
   }
-  // Hard affinity: pick the least-loaded *allowed* PCPU; a fully pinned
-  // VCPU simply cannot be moved off its mask.
-  Pcpu* target_ptr = nullptr;
-  int target_load = 0;
-  for (numa::PcpuId pid : topology_.pcpus_of(node)) {
-    if (!vcpu.allowed_on(pid)) continue;
-    Pcpu& p = pcpu(pid);
-    const int load = p.workload() + (p.busy() ? 1 : 0);
-    if (target_ptr == nullptr || load < target_load) {
-      target_ptr = &p;
-      target_load = load;
-    }
-  }
-  if (target_ptr == nullptr) return;  // no allowed PCPU on that node
-  Pcpu& target = *target_ptr;
+  // Hard affinity: a pinned VCPU moves only if its PCPU is on that node (it
+  // simply cannot leave its pin); any other goes to the least-loaded PCPU.
+  if (vcpu.is_pinned() && topology_.node_of(vcpu.pinned) != node) return;
+  Pcpu& target =
+      vcpu.is_pinned() ? pcpu(vcpu.pinned) : least_loaded_pcpu(node);
   switch (vcpu.state) {
     case VcpuState::kRunning: {
       Pcpu& host = pcpu(vcpu.pcpu);

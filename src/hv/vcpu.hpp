@@ -67,14 +67,15 @@ class Vcpu {
   numa::PcpuId pcpu = numa::kInvalidPcpu;          ///< where queued / running
   numa::PcpuId last_ran_pcpu = numa::kInvalidPcpu; ///< for warmth bookkeeping
 
-  /// Hard affinity bitmask over PCPUs (Xen's vcpu-pin).  Schedulers must
-  /// never run or queue this VCPU on a PCPU outside the mask.
-  std::uint64_t affinity_mask = ~0ull;
+  /// Hard affinity (Xen's vcpu-pin): the one PCPU this VCPU may run or
+  /// queue on, or kInvalidPcpu when it may run anywhere.  Schedulers must
+  /// never run or queue a pinned VCPU on any other PCPU.
+  numa::PcpuId pinned = numa::kInvalidPcpu;
   bool allowed_on(numa::PcpuId p) const {
-    return p >= 0 && p < 64 && (affinity_mask >> p) & 1u;
+    return p >= 0 && (pinned == numa::kInvalidPcpu || p == pinned);
   }
-  void pin_to(numa::PcpuId p) { affinity_mask = 1ull << p; }
-  bool is_pinned() const { return affinity_mask != ~0ull; }
+  void pin_to(numa::PcpuId p) { pinned = p; }
+  bool is_pinned() const { return pinned != numa::kInvalidPcpu; }
   CreditPrio priority = CreditPrio::kUnder;
   double credits = 0.0;
   bool in_runqueue = false;

@@ -13,7 +13,7 @@ namespace {
 /// "--key=value" works for every key; unknown bare "--flag"s stay flags.
 constexpr const char* kValueKeys[] = {
     "jobs",   "repeats", "seed",     "scale", "instr-scale",
-    "sched",  "json",    "period",   "ops",   "requests",
+    "sched",  "period",  "ops",      "requests",
     "sim-threads", "rps", "slo-ms",  "hosts-csv",
 };
 
@@ -114,7 +114,7 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
   if (!cli.help_requested()) return false;
   std::printf("%s\n\nUsage: %s [options]\n\n", summary, cli.program().c_str());
   std::printf(
-      "Standard options (all accept --key=value or --key value):\n"
+      "Standard options (values as --key=value or --key value):\n"
       "  --jobs N         run N simulations concurrently (0 = all host cores;\n"
       "                   results are bit-identical to --jobs 1)\n"
       "  --repeats N      average every experiment over N seeds (default 3)\n"
@@ -124,7 +124,8 @@ bool maybe_print_help(const Cli& cli, const char* summary, const char* extra) {
       "  --sched NAME     restrict scheduler sweeps to one of credit, vprobe,\n"
       "                   vcpu_p, lb, brm, autonuma\n"
       "  --period S       scheduler sampling period in seconds (default 1.0)\n"
-      "  --json PATH      also write results as JSON lines to PATH (- = stdout)\n"
+      "  --json[=PATH]    also write results as JSON lines to PATH (bare or\n"
+      "                   - = stdout; only the = form takes a path)\n"
       "  --checks         run the invariant checker on every simulation and\n"
       "                   abort on any violation (VPROBE_CHECKS builds)\n"
       "  --no-rate-cache  disable the cost-model memoization (results are\n"

@@ -47,7 +47,7 @@ class Cli {
 struct BenchFlags {
   RunConfig config;                ///< --sched/--seed/--repeats/--instr-scale/--period
   int jobs = 1;                    ///< --jobs N worker threads (0 = all cores)
-  std::string json_path;           ///< --json <path> ("-" = stdout; empty = off)
+  std::string json_path;           ///< --json[=PATH] ("-" = stdout; empty = off)
   std::optional<SchedKind> sched;  ///< --sched NAME restricts scheduler sweeps
 };
 

@@ -349,7 +349,8 @@ RunSpec RunSpec::overhead(const RunConfig& config, int num_vms) {
 SoloMetrics run_solo(const RunConfig& config, std::string_view app) {
   // Figure 3 setup: one VM, 4 GB, a single VCPU *pinned* to its memory's
   // node (the paper pins it to the local node).
-  auto hv = make_hypervisor(SchedKind::kCredit, config.seed);
+  auto hv = make_hypervisor(SchedKind::kCredit, config.seed,
+                            scheduler_options(config));
   check::ScopedCheck check(*hv, config.checks);
   hv::Domain& dom = hv->create_domain("VM1", 4 * kGB, 1,
                                       numa::PlacementPolicy::kOnNode, 0);

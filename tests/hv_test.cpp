@@ -331,6 +331,51 @@ TEST(Hypervisor, LeastLoadedPcpuPrefersIdle) {
   EXPECT_TRUE(chosen.idle());
 }
 
+// 3 nodes x 30 PCPUs: PCPUs 64-89 lie past the first 64-bit word, where a
+// one-bit-per-PCPU affinity mask would leave them unable to run anything.
+std::unique_ptr<Hypervisor> make_wide_credit_hv() {
+  Hypervisor::Config cfg;
+  cfg.machine.num_nodes = 3;
+  cfg.machine.cores_per_node = 30;
+  return std::make_unique<Hypervisor>(cfg, std::make_unique<CreditScheduler>());
+}
+
+TEST(Hypervisor, HighPcpusRunWork) {
+  auto hv = make_wide_credit_hv();
+  std::vector<FakeWork> works(120);  // more hungry VCPUs than PCPUs
+  Domain& dom = hv->create_domain("VM1", 4 * kTestGB,
+                                  static_cast<int>(works.size()),
+                                  numa::PlacementPolicy::kFillFirst, 0);
+  for (std::size_t i = 0; i < works.size(); ++i) {
+    hv->bind_work(dom.vcpu(i), works[i]);
+  }
+  hv->start();
+  for (std::size_t i = 0; i < works.size(); ++i) hv->wake(dom.vcpu(i));
+  hv->engine().run_until(sim::Time::ms(500));
+  for (const Pcpu& p : hv->pcpus()) {
+    EXPECT_GT(p.busy_time, sim::Time::zero()) << "PCPU " << p.id;
+  }
+}
+
+TEST(Hypervisor, PinAbovePcpu63RunsThere) {
+  auto hv = make_wide_credit_hv();
+  Domain& dom = hv->create_domain("VM1", 1 * kTestGB, 1,
+                                  numa::PlacementPolicy::kFillFirst, 0);
+  FakeWork work;
+  hv->bind_work(dom.vcpu(0), work);
+  dom.vcpu(0).pin_to(80);
+  hv->start();
+  hv->wake(dom.vcpu(0));
+  hv->engine().run_until(sim::Time::ms(100));
+  EXPECT_EQ(dom.vcpu(0).pcpu, 80);
+  EXPECT_GT(hv->pcpu(80).busy_time, sim::Time::zero());
+  EXPECT_GT(work.executed, 0.0);
+  hv->migrate_to_node(dom.vcpu(0), 0);  // its pin is on node 2: a no-op
+  hv->engine().run_until(sim::Time::ms(200));
+  EXPECT_EQ(dom.vcpu(0).pcpu, 80);
+  EXPECT_EQ(dom.vcpu(0).migrations, 0u);
+}
+
 TEST(Hypervisor, OverheadLedgerRecordsContextSwitches) {
   auto hv = make_credit_hv();
   Domain& dom = hv->create_domain("VM1", 1 * kTestGB, 1,

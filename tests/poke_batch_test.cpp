@@ -152,8 +152,8 @@ TEST(PokeBatch, WakeTicklesLocalIdlersThenTheRestInIdOrder) {
   // (PCPUs 60-89) straddles the boundary.  A wake pokes its target, then
   // the idle PCPUs of the target's node in ascending id, then every other
   // idle PCPU in ascending id; the expected log is built by that rule.
-  // (The busy PCPUs and the target sit below 64: Vcpu::affinity_mask has
-  // one bit per PCPU, so a VCPU cannot run above PCPU 63.)
+  // (Any PCPU can run a VCPU, 64 and up included: HighPcpus in hv_test
+  // covers that, so the busy PCPUs here just sit near the word boundary.)
   std::vector<std::string> log;
   auto sched = std::make_unique<RecordingScheduler>();
   sched->log = &log;

@@ -61,6 +61,15 @@ TEST(CliTest, ValueKeysTakeTheNextToken) {
       << "a value token leaked into the positionals";
 }
 
+TEST(CliTest, BareJsonTakesNoValue) {
+  const Cli bare = make_cli({"prog", "--json", "mix"});
+  EXPECT_EQ(parse_bench_flags(bare, 1.0).json_path, "-");
+  ASSERT_EQ(bare.positional().size(), 1u);
+  EXPECT_EQ(bare.positional().front(), "mix");
+  const Cli with_path = make_cli({"prog", "--json=out.json"});
+  EXPECT_EQ(parse_bench_flags(with_path, 1.0).json_path, "out.json");
+}
+
 // -------------------------------------------------------------- Factory ----
 
 TEST(Factory, SchedulerNames) {
